@@ -78,8 +78,8 @@ snapshot-compat:
 # benchmark: the ingest path (ns/op, allocs/op, shard scaling, batch-size
 # sweep → BENCH_PR3.json), the query path (scalar vs bulk estimation,
 # QueryAll worker scaling → BENCH_PR5.json), and the line-rate ingest
-# pipeline (ring vs channel hand-off, block vs scalar hashing, queue-depth
-# sweep, end-to-end pcap replay → BENCH_PR8.json). Commit the refreshed
+# pipeline (parallel hand-off, block vs scalar hashing, queue-depth sweep,
+# end-to-end pcap replay → BENCH_PR8.json). Commit the refreshed
 # file(s) when the corresponding path changes intentionally.
 bench-json:
 	$(GO) run ./cmd/caesar-bench -perf -perf-out BENCH_PR3.json -perf-count 5

@@ -6,16 +6,14 @@ package main
 //
 //   - routing: the scalar flow→shard hash vs the block-hashed RouteBlock
 //     (independent hashes pipeline instead of serializing on hash latency);
-//   - hand-off: the same parallel ingester workload over the lock-free SPSC
-//     rings vs the historical buffered channels, plus shard-scaling and
-//     ring-capacity sweeps;
+//   - hand-off: a parallel ingester workload over the per-shard channels,
+//     plus shard-scaling and queue-depth sweeps;
 //   - end to end: a synthetic pcap replay through parse, parse+flow-ID
 //     (SHA-1/APHash), and the full packets-to-counters pipeline, with
 //     allocs/op proving the path allocation-free.
 //
-// The ring-vs-channel speedup is computed twice: against the channel mode
-// measured in the same run (same machine, same pressure), and against the
-// committed BENCH_PR3.json figure when that file is present.
+// The hand-off figure is also compared against the committed BENCH_PR3.json
+// figure when that file is present.
 
 import (
 	"bytes"
@@ -38,17 +36,15 @@ type ingestReport struct {
 	NumCPU     int             `json:"num_cpu"`
 	Count      int             `json:"count"`
 	Benchmarks []perfBenchmark `json:"benchmarks"`
-	// ShardScaling is ring-mode parallel ingest as the shard count grows.
+	// ShardScaling is parallel ingest as the shard count grows.
 	ShardScaling []perfBenchmark `json:"shard_scaling"`
-	// QueueDepthSweep varies the per-ring capacity (in batches) at 4 shards;
-	// it is the measurement behind the DefaultShardQueueDepth choice.
+	// QueueDepthSweep varies the per-shard queue capacity (in batches) at 4
+	// shards; it is the measurement behind the DefaultShardQueueDepth choice.
 	QueueDepthSweep []perfBenchmark `json:"queue_depth_sweep"`
 	// Pipeline is the end-to-end pcap replay, ns per packet at each stage.
 	Pipeline []perfBenchmark `json:"pipeline"`
-	// SpeedupRingVsChannel compares the two queue kinds measured in this run.
-	SpeedupRingVsChannel float64 `json:"speedup_ring_vs_channel"`
-	// SpeedupVsPR3Baseline compares ring-mode ingest against the committed
-	// channel-era figure in BENCH_PR3.json (0 when the file is absent).
+	// SpeedupVsPR3Baseline compares parallel ingest against the committed
+	// figure in BENCH_PR3.json (0 when the file is absent).
 	SpeedupVsPR3Baseline float64 `json:"speedup_vs_pr3_baseline"`
 	// PR3BaselineNsOp is the committed figure the previous ratio divides by.
 	PR3BaselineNsOp float64 `json:"pr3_baseline_ns_op,omitempty"`
@@ -98,30 +94,24 @@ func runIngestPerf(path string, count int) {
 		measure("RouteBlock", 4, 0, benchRouteBlock),
 	)
 
-	// Hand-off layer: identical parallel workload, ring vs channel.
-	ring := measure("ShardedIngestRing", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedQueue(b, 4, caesar.QueueRing, 0)
+	// Hand-off layer: parallel producers, each on its own handle.
+	ingest := measure("ShardedIngest", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
+		benchShardedIngester(b, 4, caesar.ShardedOptions{})
 	})
-	channel := measure("ShardedIngestChannel", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedQueue(b, 4, caesar.QueueChannel, 0)
-	})
-	rep.Benchmarks = append(rep.Benchmarks, ring, channel)
-	if ring.NsOp > 0 {
-		rep.SpeedupRingVsChannel = channel.NsOp / ring.NsOp
-	}
-	if base := readPR3Baseline("BENCH_PR3.json"); base > 0 && ring.NsOp > 0 {
+	rep.Benchmarks = append(rep.Benchmarks, ingest)
+	if base := readPR3Baseline("BENCH_PR3.json"); base > 0 && ingest.NsOp > 0 {
 		rep.PR3BaselineNsOp = base
-		rep.SpeedupVsPR3Baseline = base / ring.NsOp
+		rep.SpeedupVsPR3Baseline = base / ingest.NsOp
 	}
 
 	for _, n := range []int{1, 2, 4, 8} {
 		rep.ShardScaling = append(rep.ShardScaling, measure(
-			fmt.Sprintf("ShardedIngestRing/shards=%d", n), n, caesar.DefaultShardBatchSize,
-			func(b *testing.B) { benchShardedQueue(b, n, caesar.QueueRing, 0) }))
+			fmt.Sprintf("ShardedIngest/shards=%d", n), n, caesar.DefaultShardBatchSize,
+			func(b *testing.B) { benchShardedIngester(b, n, caesar.ShardedOptions{}) }))
 	}
 	for _, depth := range []int{16, 32, 64, 128, 256} {
-		p := measure(fmt.Sprintf("ShardedIngestRing/depth=%d", depth), 4, caesar.DefaultShardBatchSize,
-			func(b *testing.B) { benchShardedQueue(b, 4, caesar.QueueRing, depth) })
+		p := measure(fmt.Sprintf("ShardedIngest/depth=%d", depth), 4, caesar.DefaultShardBatchSize,
+			func(b *testing.B) { benchShardedIngester(b, 4, caesar.ShardedOptions{QueueDepth: depth}) })
 		rep.QueueDepthSweep = append(rep.QueueDepthSweep, p)
 	}
 
@@ -148,8 +138,12 @@ func runIngestPerf(path string, count int) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "perf-ingest: wrote %s (ring vs channel: %.2fx; vs committed PR3 baseline: %.2fx at GOMAXPROCS=%d, %d CPU)\n",
-		path, rep.SpeedupRingVsChannel, rep.SpeedupVsPR3Baseline, rep.GoMaxProcs, rep.NumCPU)
+	vsBaseline := ""
+	if rep.PR3BaselineNsOp > 0 {
+		vsBaseline = fmt.Sprintf("; vs committed BENCH_PR3.json baseline: %.2fx", rep.SpeedupVsPR3Baseline)
+	}
+	fmt.Fprintf(os.Stderr, "perf-ingest: wrote %s (at GOMAXPROCS=%d, %d CPU%s)\n",
+		path, rep.GoMaxProcs, rep.NumCPU, vsBaseline)
 }
 
 // readPR3Baseline pulls the committed ShardedObserveParallel ns/op out of
@@ -198,34 +192,6 @@ func benchRouteBlock(b *testing.B) {
 		dst = r.RouteBlock(flows, dst[:0])
 	}
 	_ = dst
-}
-
-// benchShardedQueue is the parallel ingester workload of benchShardedIngester
-// with the queue kind (and optionally the queue depth) selectable.
-func benchShardedQueue(b *testing.B, shards int, kind caesar.QueueKind, depth int) {
-	s, err := caesar.NewShardedOptions(shards, perfSketchConfig(),
-		caesar.ShardedOptions{Queue: kind, QueueDepth: depth})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		h := s.Ingester()
-		var buf [256]caesar.FlowID
-		i, n := 0, 0
-		for pb.Next() {
-			buf[n] = caesar.FlowID(i & 1023)
-			n++
-			i++
-			if n == len(buf) {
-				h.ObserveBatch(buf[:n])
-				n = 0
-			}
-		}
-		h.ObserveBatch(buf[:n])
-	})
-	b.StopTimer()
-	s.Close()
 }
 
 // buildCapture synthesizes an in-memory pcap with n packets drawn from a

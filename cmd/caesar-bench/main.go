@@ -18,9 +18,9 @@
 // writes the machine-readable perf report committed as BENCH_PR3.json;
 // -perf-query runs the query-path (bulk estimation) benchmarks (see
 // query.go) and writes the report committed as BENCH_PR5.json;
-// -perf-ingest runs the line-rate ingest pipeline benchmarks — SPSC ring
-// vs channel hand-off, block vs scalar shard routing, queue-depth sweep,
-// and end-to-end pcap replay (see ingest.go) — and writes BENCH_PR8.json;
+// -perf-ingest runs the line-rate ingest pipeline benchmarks — parallel
+// hand-off, block vs scalar shard routing, queue-depth sweep, and
+// end-to-end pcap replay (see ingest.go) — and writes BENCH_PR8.json;
 // -perf-matrix runs the flow-ID-stage and fused-pipeline benchmarks over
 // the -cpus GOMAXPROCS matrix (see matrix.go) and writes BENCH_PR10.json.
 //

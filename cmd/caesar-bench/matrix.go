@@ -9,7 +9,7 @@ package main
 //   - what does the whole replay pipeline pay per packet at each stage,
 //     before and after fusing hashing into the block ingest (pipeline);
 //   - how does ingest scale with cores under each -cpus value (cpu_matrix):
-//     the per-GOMAXPROCS ID, route, and parallel/fused ingest curves.
+//     the per-GOMAXPROCS ID, route, and fused ingest curves.
 
 import (
 	"encoding/json"
@@ -135,8 +135,7 @@ func runMatrixPerf(path string, count int, cpus []int) {
 
 	// The GOMAXPROCS matrix. The single-threaded ID and route stages are
 	// re-measured under each setting as controls (they should stay flat);
-	// the parallel ring ingest and the fused replay are where the scaling
-	// lives.
+	// the fused replay is where the scaling lives.
 	prev := runtime.GOMAXPROCS(0)
 	for _, n := range cpus {
 		if n < 1 {
@@ -147,9 +146,6 @@ func runMatrixPerf(path string, count int, cpus []int) {
 		entry.Benchmarks = append(entry.Benchmarks,
 			measure(fmt.Sprintf("FlowIDFastBlock/cpus=%d", n), benchFlowIDFastBlock),
 			measure(fmt.Sprintf("RouteBlock/cpus=%d", n), benchRouteBlock),
-			measure(fmt.Sprintf("ShardedIngestRing/cpus=%d", n), func(b *testing.B) {
-				benchShardedQueue(b, 4, caesar.QueueRing, 0)
-			}),
 			measure(fmt.Sprintf("ReplayIngest/fused-fast/cpus=%d", n), func(b *testing.B) {
 				benchReplayIngestFused(b, capture)
 			}),

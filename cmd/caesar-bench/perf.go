@@ -109,7 +109,7 @@ func runPerf(path string, count int) {
 		benchShardedMutex(b, 4)
 	})
 	handles := measure("ShardedObserveParallel", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedIngester(b, 4, caesar.DefaultShardBatchSize)
+		benchShardedIngester(b, 4, caesar.ShardedOptions{})
 	})
 	rep.Benchmarks = append(rep.Benchmarks, mutex, handles)
 	if handles.NsOp > 0 {
@@ -119,12 +119,12 @@ func runPerf(path string, count int) {
 	for _, n := range []int{1, 2, 4, 8} {
 		rep.ShardScaling = append(rep.ShardScaling, measure(
 			fmt.Sprintf("ShardedObserveParallel/shards=%d", n), n, caesar.DefaultShardBatchSize,
-			func(b *testing.B) { benchShardedIngester(b, n, caesar.DefaultShardBatchSize) }))
+			func(b *testing.B) { benchShardedIngester(b, n, caesar.ShardedOptions{}) }))
 	}
 	for _, bs := range []int{64, 256, 1024} {
 		rep.BatchSweep = append(rep.BatchSweep, measure(
 			fmt.Sprintf("ShardedObserveParallel/batch=%d", bs), 4, bs,
-			func(b *testing.B) { benchShardedIngester(b, 4, bs) }))
+			func(b *testing.B) { benchShardedIngester(b, 4, caesar.ShardedOptions{BatchSize: bs}) }))
 	}
 
 	f, err := os.Create(path)
@@ -205,9 +205,10 @@ func benchShardedMutex(b *testing.B, shards int) {
 	s.Close()
 }
 
-func benchShardedIngester(b *testing.B, shards, batchSize int) {
-	s, err := caesar.NewShardedOptions(shards, perfSketchConfig(),
-		caesar.ShardedOptions{BatchSize: batchSize})
+// benchShardedIngester runs parallel producers, each on its own Ingester
+// handle, over a Sharded with the given ingest tuning.
+func benchShardedIngester(b *testing.B, shards int, opts caesar.ShardedOptions) {
+	s, err := caesar.NewShardedOptions(shards, perfSketchConfig(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -495,11 +494,7 @@ func TestChaosServeReconciliationSIGKILL(t *testing.T) {
 		t.Skip("process-level chaos test; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "caesar-serve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServe(t, dir)
 	snap := filepath.Join(dir, "state.csnp")
 	args := []string{
 		"-listen", "127.0.0.1:0",

@@ -166,6 +166,13 @@ func main() {
 		close(replayDone)
 	}
 
+	// Install the signal handler before the listen line goes out: a
+	// supervisor may send SIGTERM as soon as it has read the address, and
+	// until Notify runs that signal takes its default action — no drain, no
+	// seal, no checkpoint.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("caesar-serve: listen: %v", err)
@@ -190,8 +197,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {

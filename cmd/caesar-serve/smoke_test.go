@@ -30,11 +30,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("process-level smoke test; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "caesar-serve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServe(t, dir)
 
 	// A small deterministic trace; its flow IDs seed the candidate set.
 	tr, err := trace.Generate(trace.GenConfig{Flows: 500, Seed: 42})
@@ -157,6 +153,60 @@ func TestServeSmoke(t *testing.T) {
 	if hz3.Rotations != hz2.Rotations+1 {
 		t.Fatalf("post-restore rotation went %d -> %d", hz2.Rotations, hz3.Rotations)
 	}
+}
+
+// TestServeSmokeSIGTERMAfterListen sends SIGTERM the moment the daemon
+// announces its listen address. The signal handler must already be in
+// place by then, so every attempt takes the graceful path — drain, seal,
+// checkpoint, exit 0 — instead of the signal's default action, which kills
+// the process with no checkpoint.
+func TestServeSmokeSIGTERMAfterListen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level smoke test; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := buildServe(t, dir)
+	for attempt := 0; attempt < 10; attempt++ {
+		snap := filepath.Join(dir, fmt.Sprintf("state%d.csnp", attempt))
+		cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-snapshot", snap,
+			"-epochs", "2", "-shards", "1", "-counters", "4096", "-cache-entries", "256")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(stdout).ReadString('\n')
+		if err != nil || !strings.Contains(line, "listening on ") {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("attempt %d: no listen line (%q, %v)\n%s", attempt, line, err, stderr.String())
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("attempt %d: SIGTERM right after the listen line: %v (want exit status 0)\n%s",
+				attempt, err, stderr.String())
+		}
+		if _, err := os.Stat(snap); err != nil {
+			t.Fatalf("attempt %d: no checkpoint after a graceful SIGTERM: %v\n%s", attempt, err, stderr.String())
+		}
+	}
+}
+
+// buildServe compiles the daemon into dir and returns the binary's path.
+func buildServe(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "caesar-serve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // startServe boots the binary and parses the listen line off stdout.

@@ -8,7 +8,7 @@
 // fuses flow-ID hashing (the keyed fast hash, via the block-pipelined
 // FlowIDer.IDBlock), shard routing, and buffer dispatch under one lock
 // acquisition — no per-packet call anywhere between the capture file and
-// the shard workers' lock-free SPSC rings. A real deployment would run one
+// the shard workers' queues. A real deployment would run one
 // Ingester per capture thread; the example streams one file single-threaded.
 //
 // Since this repository ships no capture files, the example first writes a

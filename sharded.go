@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/caesar-sketch/caesar/internal/hashing"
-	"github.com/caesar-sketch/caesar/internal/spsc"
 )
 
 // Sharded fans packet ingestion out over several independent CAESAR
@@ -53,24 +52,19 @@ import (
 type Sharded struct {
 	opts   ShardedOptions
 	shards []*Sketch
-	// queues are the per-shard hand-off channels in QueueChannel mode; nil in
-	// QueueRing mode.
+	// queues are the per-shard hand-off channels, one buffered channel per
+	// shard worker, shared by every producer handle.
 	queues []chan shardBatch
-	// ringShards hold the per-shard SPSC ring sets in QueueRing mode (the
-	// default); nil in QueueChannel mode. Each registered Ingester owns one
-	// ring per shard, so every ring has exactly one producer (the handle,
-	// serialized by its own mutex) and one consumer (the shard worker).
-	ringShards []*ringShard
-	wg         sync.WaitGroup
+	wg     sync.WaitGroup
 	// router maps flows to shards: one seeded Mix64 and an exact
 	// multiply-based modulo, with a block variant that pipelines the hashes
 	// for a whole batch. Bit-identical to the historical
 	// MixWithSeed(flow, seed) % n routing.
 	router *hashing.ShardRouter
 
-	// hasher is the keyed fast flow-ID hash, seeded from Config.Seed; used
-	// by the tuple-level entry points only when opts.FlowHash == FlowHashFast.
-	hasher hashing.FlowIDer
+	// hasher derives flow IDs for the tuple-level entry points under
+	// opts.FlowHash; the fast hash is keyed from Config.Seed.
+	hasher tupleHasher
 
 	// batchPool recycles full batches handed to the shard workers back to
 	// the producers, so steady-state ingest allocates no buffers.
@@ -185,36 +179,6 @@ func (h Health) String() string {
 	}
 }
 
-// QueueKind selects the per-shard hand-off mechanism between producers and
-// shard workers.
-type QueueKind int
-
-const (
-	// QueueRing (the default) hands batches over through bounded lock-free
-	// SPSC rings, one per (Ingester, shard) pair: producers never take a
-	// shared lock or wake the scheduler to deliver a batch, so ingest scales
-	// with producer count. Semantics — overflow policies, the drop ledger,
-	// quarantine, deadline shutdown — are identical to QueueChannel.
-	QueueRing QueueKind = iota
-	// QueueChannel hands batches over through one buffered Go channel per
-	// shard (the historical implementation). Kept as a differential-testing
-	// oracle and benchmark baseline; TestRingChannelEquivalence pins the two
-	// modes to bit-identical estimates and drop ledgers.
-	QueueChannel
-)
-
-// String names the queue kind for logs and reports.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueRing:
-		return "ring"
-	case QueueChannel:
-		return "channel"
-	default:
-		return fmt.Sprintf("queuekind(%d)", int(k))
-	}
-}
-
 // FlowHash selects the tuple → flow-ID derivation used by the tuple-level
 // ingest entry points (ObservePacket, ObservePackets, HashTuple). Entry
 // points that take pre-hashed FlowIDs (Observe, ObserveBatch) are
@@ -250,6 +214,48 @@ func (f FlowHash) String() string {
 	default:
 		return fmt.Sprintf("flowhash(%d)", int(f))
 	}
+}
+
+// tupleHasher is the tuple → FlowID derivation a FlowHash selects, shared by
+// Sharded and ShardedWindow so the scalar (HashTuple) and block
+// (ObservePackets) paths of both make the same choice. The zero value is
+// the SHA-1 derivation.
+type tupleHasher struct {
+	fast bool
+	ider hashing.FlowIDer
+}
+
+// newTupleHasher keys the fast hash from seed; the SHA-1 derivation is
+// unkeyed.
+func newTupleHasher(f FlowHash, seed uint64) tupleHasher {
+	return tupleHasher{fast: f == FlowHashFast, ider: hashing.NewFlowIDer(seed)}
+}
+
+// id derives one tuple's flow ID.
+//
+//caesar:hotpath per-packet flow-ID derivation on the tuple ingest paths
+func (h *tupleHasher) id(t FiveTuple) FlowID {
+	if h.fast {
+		return h.ider.ID(t)
+	}
+	return t.ID()
+}
+
+// block appends the flow IDs of tuples to dst, pipelining independent hash
+// states (FlowIDer.IDBlock) when fast.
+//
+//caesar:hotpath block flow-ID derivation on the fused tuple ingest paths
+func (h *tupleHasher) block(dst []FlowID, tuples []FiveTuple) []FlowID {
+	if h.fast {
+		return h.ider.IDBlock(dst, tuples)
+	}
+	//caesar:ignore allocfree slices.Grow is a no-op once the caller's scratch has reached steady-state capacity
+	dst = slices.Grow(dst, len(tuples))
+	for _, t := range tuples {
+		//caesar:ignore allocfree dst was pre-grown by len(tuples) just above; the append writes into reserved capacity
+		dst = append(dst, t.ID())
+	}
+	return dst
 }
 
 // ShardedHooks are optional instrumentation and fault-injection points on
@@ -293,9 +299,6 @@ type ShardedOptions struct {
 	// SampleRate is N for the Sample policy: an overflowing batch keeps one
 	// packet in N. Default 8; ignored by the other policies.
 	SampleRate int
-	// Queue selects the hand-off mechanism: QueueRing (default, lock-free
-	// SPSC rings) or QueueChannel (the historical buffered channels).
-	Queue QueueKind
 	// FlowHash selects the tuple → flow-ID derivation of the tuple-level
 	// ingest entry points: FlowHashSHA1 (default, paper-faithful) or
 	// FlowHashFast (keyed SipHash-2-4, seeded from Config.Seed). A runtime
@@ -312,11 +315,9 @@ type ShardedOptions struct {
 // can reference the stock configuration.
 const (
 	DefaultShardBatchSize = 256
-	// DefaultShardQueueDepth was tuned for the channel hand-off and
-	// re-swept for the SPSC rings (caesar-bench -perf-ingest, queue_depth_sweep
-	// in BENCH_PR8.json): throughput is flat from 16 to 256 batches within
-	// run-to-run noise, so the channel-era value stands. Rings round the
-	// depth up to a power of two.
+	// DefaultShardQueueDepth is the per-shard channel capacity in batches.
+	// The queue-depth sweep (caesar-bench -perf-ingest, queue_depth_sweep in
+	// BENCH_PR8.json) is flat from 16 to 256 batches within run-to-run noise.
 	DefaultShardQueueDepth = 64
 	// DefaultShardSampleRate is the Sample policy's keep ratio: 1 in 8.
 	DefaultShardSampleRate = 8
@@ -347,9 +348,6 @@ func (o ShardedOptions) validate() error {
 	}
 	if o.SampleRate < 1 {
 		return fmt.Errorf("caesar: ShardedOptions.SampleRate must be >= 1, got %d", o.SampleRate)
-	}
-	if o.Queue < QueueRing || o.Queue > QueueChannel {
-		return fmt.Errorf("caesar: unknown ShardedOptions.Queue %d", o.Queue)
 	}
 	if o.FlowHash < FlowHashSHA1 || o.FlowHash > FlowHashFast {
 		return fmt.Errorf("caesar: unknown ShardedOptions.FlowHash %d", o.FlowHash)
@@ -435,7 +433,8 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 		opts:         opts,
 		shards:       make([]*Sketch, n),
 		router:       hashing.NewShardRouter(n, shardRouteSeed),
-		hasher:       hashing.NewFlowIDer(cfg.Seed),
+		hasher:       newTupleHasher(opts.FlowHash, cfg.Seed),
+		queues:       make([]chan shardBatch, n),
 		abort:        make(chan struct{}),
 		shardDropped: make([]paddedCounter, n),
 		shardDown:    make([]atomic.Uint32, n),
@@ -444,15 +443,6 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 	}
 	for i := range s.workerExited {
 		s.workerExited[i] = make(chan struct{})
-	}
-	switch opts.Queue {
-	case QueueChannel:
-		s.queues = make([]chan shardBatch, n)
-	default:
-		s.ringShards = make([]*ringShard, n)
-		for i := range s.ringShards {
-			s.ringShards[i] = newRingShard()
-		}
 	}
 	for i := range s.shards {
 		// Spread the division remainders across the first shards so no part
@@ -472,17 +462,11 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 			return nil, err
 		}
 		s.shards[i] = sk
-		if s.queues != nil {
-			s.queues[i] = make(chan shardBatch, opts.QueueDepth)
-		}
+		s.queues[i] = make(chan shardBatch, opts.QueueDepth)
 	}
 	for i := range s.shards {
 		s.wg.Add(1)
-		if s.ringShards != nil {
-			go s.ringWorker(i)
-		} else {
-			go s.worker(i)
-		}
+		go s.worker(i)
 	}
 	s.legacy = s.Ingester()
 	return s, nil
@@ -666,12 +650,7 @@ func (s *Sharded) ObserveBatch(flows []FlowID) { s.legacy.ObserveBatch(flows) }
 // hasher) — the two hashes produce disjoint ID namespaces.
 //
 //caesar:hotpath per-packet flow-ID derivation on the tuple ingest path
-func (s *Sharded) HashTuple(t FiveTuple) FlowID {
-	if s.opts.FlowHash == FlowHashFast {
-		return s.hasher.ID(t)
-	}
-	return t.ID()
-}
+func (s *Sharded) HashTuple(t FiveTuple) FlowID { return s.hasher.id(t) }
 
 // ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
 // the flow ID with the configured FlowHash.
@@ -702,18 +681,6 @@ func (s *Sharded) Ingester() *Ingester {
 	if s.closed {
 		panic("caesar: Ingester after Close")
 	}
-	if s.ringShards != nil {
-		// Mint this handle's private SPSC rings and register them with the
-		// shard workers. Registration must stay inside the closed check's
-		// critical section: closeWith sets closed under mu before it closes
-		// the per-shard closing latches, so a ring registered here is always
-		// seen (and drained) by its worker before that worker may exit.
-		h.rings = make([]*spsc.Ring[shardBatch], len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-		for i := range h.rings {
-			h.rings[i] = spsc.New[shardBatch](s.opts.QueueDepth) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-			s.ringShards[i].register(h.rings[i])
-		}
-	}
 	s.handles = append(s.handles, h)
 	return h
 }
@@ -725,13 +692,6 @@ func (s *Sharded) Ingester() *Ingester {
 // full batch (every BatchSize packets per shard) reaches shared state.
 type Ingester struct {
 	s *Sharded
-
-	// rings are this handle's private SPSC hand-off rings, one per shard
-	// (QueueRing mode only; nil under QueueChannel). The handle is the sole
-	// producer of each — every push and the eventual Close happen under mu —
-	// and the shard worker is the sole consumer, which is exactly the SPSC
-	// contract.
-	rings []*spsc.Ring[shardBatch]
 
 	mu       sync.Mutex
 	batches  []shardBatch // per-shard private fill buffers, guarded by mu
@@ -828,16 +788,7 @@ func (h *Ingester) ObservePackets(tuples []FiveTuple) {
 		}
 		return
 	}
-	if h.s.opts.FlowHash == FlowHashFast {
-		h.idBuf = h.s.hasher.IDBlock(h.idBuf[:0], tuples)
-	} else {
-		//caesar:ignore allocfree slices.Grow is a no-op once idBuf has reached steady-state capacity
-		h.idBuf = slices.Grow(h.idBuf[:0], len(tuples))
-		for _, t := range tuples {
-			//caesar:ignore allocfree idBuf was pre-grown to len(tuples) just above; the append writes into reserved capacity
-			h.idBuf = append(h.idBuf, t.ID())
-		}
-	}
+	h.idBuf = h.s.hasher.block(h.idBuf[:0], tuples)
 	h.routeBuf = h.s.router.RouteBlock(h.idBuf, h.routeBuf[:0])
 	for j, flow := range h.idBuf {
 		i := int(h.routeBuf[j])
@@ -904,18 +855,6 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 			h.s.putBatch(b)
 			continue
 		}
-		if h.rings != nil {
-			// Ring mode waits on the context only, like the channel select
-			// below: the worker keeps consuming (or count-draining) its rings
-			// until they are closed, and closing them requires this handle's
-			// mutex, so the push always lands unless the deadline fires.
-			if !h.ringPushCtx(ctx, i, b, false) {
-				h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-				h.s.putBatch(b)
-				err = ctx.Err()
-			}
-			continue
-		}
 		select {
 		case h.s.queues[i] <- b:
 		case <-ctx.Done():
@@ -930,41 +869,28 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 // dispatch hands one batch to shard i's worker, applying the overflow
 // policy. Called with h.mu held, which is what makes it safe against Close:
 // Close cannot finish draining this handle (and therefore cannot close the
-// queues or this handle's rings) until h.mu is released, so the send always
-// lands on an open channel or ring.
-//
-// In ring mode that handle-mutex ordering is the whole story — pushes and the
-// eventual ring Close both happen under h.mu — so the hot path skips the
-// channel mode's global sendWG registration (a shared-lock acquisition per
-// batch). In channel mode the sendWG additionally orders the send against
-// Close for any future caller that dispatches outside a drain-visible lock.
+// queues) until h.mu is released, so the send always lands on an open
+// channel. The sendWG registration additionally orders the send against
+// Close for any caller that dispatches outside a drain-visible lock.
 //
 //caesar:hotpath hands off one full batch per BatchSize packets
 func (h *Ingester) dispatch(i int, b shardBatch) {
 	s := h.s
-	if h.rings != nil {
-		s.enqueue(h, i, b)
-		return
-	}
 	s.mu.Lock()
 	s.sendWG.Add(1)
 	s.mu.Unlock()
-	s.enqueue(h, i, b)
+	s.enqueue(i, b)
 	s.sendWG.Done()
 }
 
-// enqueue offers one batch to shard i's queue or ring under the overflow
-// policy. Hook suppression and policy drops are counted; a blocking send can
-// be cut short only by the shutdown abort latch, in which case the batch
-// counts as a timeout drop.
-func (s *Sharded) enqueue(h *Ingester, i int, b shardBatch) {
+// enqueue offers one batch to shard i's queue under the overflow policy.
+// Hook suppression and policy drops are counted; a blocking send can be cut
+// short only by the shutdown abort latch, in which case the batch counts as
+// a timeout drop.
+func (s *Sharded) enqueue(i int, b shardBatch) {
 	if hook := s.opts.Hooks.BeforeEnqueue; hook != nil && !hook(i, len(b)) {
 		s.dropBatch(i, len(b), &s.drops.injected)
 		s.putBatch(b)
-		return
-	}
-	if h.rings != nil {
-		s.enqueueRing(h, i, b)
 		return
 	}
 	switch s.opts.OverflowPolicy {
@@ -984,26 +910,6 @@ func (s *Sharded) enqueue(h *Ingester, i int, b shardBatch) {
 		s.blockingSend(i, s.thinBatch(i, b))
 	default: // Block
 		s.blockingSend(i, b)
-	}
-}
-
-// enqueueRing is enqueue's ring-mode policy arm: same policies, same ledger,
-// with the channel try-send replaced by a ring TryPush and the blocking send
-// by the spin-then-sleep blockingPush.
-func (s *Sharded) enqueueRing(h *Ingester, i int, b shardBatch) {
-	switch s.opts.OverflowPolicy {
-	case Drop:
-		if !h.tryPush(i, b) {
-			s.dropBatch(i, len(b), &s.drops.overflow)
-			s.putBatch(b)
-		}
-	case Sample:
-		if h.tryPush(i, b) {
-			return
-		}
-		h.blockingPush(i, s.thinBatch(i, b))
-	default: // Block
-		h.blockingPush(i, b)
 	}
 }
 
@@ -1048,35 +954,24 @@ func (h *Ingester) drain(ctx context.Context) bool {
 	h.closed = true
 	hit := false
 	for i, b := range h.batches {
-		if len(b) > 0 {
-			switch {
-			case hit:
-				// The deadline already fired: count without re-waiting.
-				h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			case h.rings != nil:
-				if !h.ringPushCtx(ctx, i, b, true) {
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				}
-			default:
-				select {
-				case h.s.queues[i] <- b:
-				case <-ctx.Done():
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				case <-h.s.abort:
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				}
-			}
-		}
 		h.batches[i] = nil
-	}
-	// Close this handle's rings (a producer-side operation, legal here under
-	// h.mu): the shard workers will pop whatever the rings still hold, then
-	// observe Drained once the per-shard closing latch trips.
-	for _, r := range h.rings {
-		r.Close()
+		if len(b) == 0 {
+			continue
+		}
+		if hit {
+			// The deadline already fired: count without re-waiting.
+			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			continue
+		}
+		select {
+		case h.s.queues[i] <- b:
+		case <-ctx.Done():
+			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			hit = true
+		case <-h.s.abort:
+			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			hit = true
+		}
 	}
 	return hit
 }
@@ -1153,14 +1048,6 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 	for _, q := range s.queues {
 		//caesar:ignore atomicdiscipline closeWith runs once (guarded by the closed flag under mu) and waits on sendWG above, so no sender can race these closes
 		close(q)
-	}
-	for _, rs := range s.ringShards {
-		// Trip the per-shard closing latch: every handle has been drained (and
-		// its rings closed) above, and no handle can be minted after the
-		// closed flag we set under mu, so the ring set each worker sees is
-		// final — the worker wakes if parked, drains what remains, and exits.
-		//caesar:ignore atomicdiscipline closeWith runs once (guarded by the closed flag under mu), so nothing can race this close
-		close(rs.closing)
 	}
 	if !s.waitOrAbort(ctx, &s.wg) {
 		timedOut = true

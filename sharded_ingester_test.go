@@ -3,6 +3,7 @@ package caesar
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,68 +199,142 @@ func TestIngesterAfterClose(t *testing.T) {
 }
 
 // TestIngesterCloseRace is the per-producer-handle analogue of
-// TestShardedObserveCloseRace: every worker owns its own Ingester and mixes
-// Observe with ObserveBatch while the main goroutine Closes mid-stream.
+// TestShardedObserveCloseRace: every producer owns an Ingester minted before
+// Close and mixes Observe with ObserveBatch while the main goroutine Closes.
 // Under -race this guards the handle/Close rendezvous; the tally proves
 // exactly-once-or-counted delivery — every packet whose call started before
 // the Close rendezvous is drained, every later one is an after-Close drop,
-// and none is counted twice.
+// and none is counted twice. The inputs:
+//
+//   - mid-stream: producers run until stopped; Close lands mid-stream and
+//     they keep observing after it, exercising the counted no-op path;
+//   - repeated: 20 fresh sketches, each racing Close against producers that
+//     send a fixed number of packets;
+//   - depth4-flush: four-batch queues stay full while producers also Flush,
+//     and Close waits for every producer, so the lossless Block policy must
+//     drop nothing.
 func TestIngesterCloseRace(t *testing.T) {
-	s, err := NewShardedOptions(4, ingesterTestConfig(), ShardedOptions{BatchSize: 8, QueueDepth: 2})
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		opts       ShardedOptions
+		producers  int
+		calls      int  // ingest calls per producer; 0 = until stopped after Close
+		flushEvery int  // Flush every this many calls; 0 = never
+		closeAfter bool // Close only once every producer has finished
+		rounds     int
+	}{
+		{name: "mid-stream", shards: 4, opts: ShardedOptions{BatchSize: 8, QueueDepth: 2},
+			producers: 8, rounds: 1},
+		{name: "repeated", shards: 2, opts: ShardedOptions{BatchSize: 16},
+			producers: 4, calls: 2000, rounds: 20},
+		{name: "depth4-flush", shards: 3, opts: ShardedOptions{BatchSize: 32, QueueDepth: 4},
+			producers: 8, calls: 20_000, flushEvery: 5000, closeAfter: true, rounds: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < tc.rounds; round++ {
+				s, err := NewShardedOptions(tc.shards, ingesterTestConfig(), tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var (
+					sent  atomic.Uint64
+					stop  atomic.Bool
+					wg    sync.WaitGroup
+					start = make(chan struct{})
+				)
+				for w := 0; w < tc.producers; w++ {
+					h := s.Ingester() // minted before Close; observing after it is the counted no-op
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						var batch [5]FlowID
+						<-start
+						for i := 0; tc.calls > 0 && i < tc.calls || tc.calls == 0 && !stop.Load(); i++ {
+							if i%7 == 0 {
+								for j := range batch {
+									batch[j] = FlowID(uint64(w)<<32 | uint64((i+j)%509))
+								}
+								h.ObserveBatch(batch[:])
+								sent.Add(uint64(len(batch)))
+							} else {
+								h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+								sent.Add(1)
+							}
+							if tc.flushEvery > 0 && i%tc.flushEvery == 0 {
+								h.Flush()
+							}
+						}
+					}(w)
+				}
+				close(start)
+				switch {
+				case tc.closeAfter:
+					wg.Wait()
+					s.Close()
+				case tc.calls > 0:
+					runtime.Gosched()
+					s.Close()
+					wg.Wait()
+				default:
+					time.Sleep(5 * time.Millisecond)
+					s.Close()
+					time.Sleep(2 * time.Millisecond) // exercise the counted no-op path under -race
+					stop.Store(true)
+					wg.Wait()
+				}
+
+				st := s.Stats()
+				if got, want := s.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
+					t.Fatalf("round %d: NumPackets+DroppedAfterClose = %d+%d = %d, want sent = %d (lost or duplicated packets across the Close race)",
+						round, s.NumPackets(), st.DroppedAfterClose, got, want)
+				}
+				if st.DroppedPackets != st.DroppedAfterClose {
+					t.Fatalf("round %d: Block policy dropped packets beyond the after-Close cause: %+v", round, st)
+				}
+				if tc.closeAfter && st.DroppedPackets != 0 {
+					t.Fatalf("Block policy dropped %d packets with every producer done before Close", st.DroppedPackets)
+				}
+				est, err := s.Estimator()
+				if err != nil {
+					t.Fatalf("Estimator after Close: %v", err)
+				}
+				if got := est.Estimate(FlowID(1), CSM); got != got {
+					t.Fatalf("estimate is NaN after racing Close")
+				}
+				s.Close() // idempotent under racing handles too
+			}
+		})
+	}
+}
+
+// TestIngestZeroAllocs gates the steady-state ingest path at (near) zero
+// allocations per packet: batch buffers recycle through the pool and the
+// block router reuses its scratch, so the only allowed allocations are the
+// rare pool refills after a GC (hence the 0.01 packets/alloc tolerance
+// rather than exactly zero).
+func TestIngestZeroAllocs(t *testing.T) {
+	s, err := NewShardedOptions(4, smallShardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const workers = 8
-	var (
-		sent  atomic.Uint64
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		start = make(chan struct{})
-	)
-	handles := make([]*Ingester, workers)
-	for w := range handles {
-		handles[w] = s.Ingester()
+	h := s.Ingester()
+	flows := make([]FlowID, 512)
+	for i := range flows {
+		flows[i] = FlowID(i * 7919)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := handles[w]
-			var batch [5]FlowID
-			<-start
-			for i := 0; !stop.Load(); i++ {
-				if i%7 == 0 {
-					for j := range batch {
-						batch[j] = FlowID(uint64(w)<<32 | uint64((i+j)%509))
-					}
-					h.ObserveBatch(batch[:])
-					sent.Add(uint64(len(batch)))
-				} else {
-					h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
-					sent.Add(1)
-				}
-			}
-		}(w)
+	// Warm up: fault in the pool and the route scratch.
+	for i := 0; i < 64; i++ {
+		h.ObserveBatch(flows)
 	}
-	close(start)
-	time.Sleep(5 * time.Millisecond)
+	const rounds = 2000
+	allocs := testing.AllocsPerRun(rounds, func() {
+		h.ObserveBatch(flows)
+	})
+	perPacket := allocs / float64(len(flows))
+	if perPacket > 0.01 {
+		t.Fatalf("ingest allocates %.4f allocs/packet (%.1f/batch), want < 0.01",
+			perPacket, allocs)
+	}
 	s.Close()
-	time.Sleep(2 * time.Millisecond) // exercise the counted no-op path under -race
-	stop.Store(true)
-	wg.Wait()
-
-	st := s.Stats()
-	if got, want := s.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
-		t.Fatalf("NumPackets+DroppedAfterClose = %d+%d = %d, want sent = %d (lost or duplicated packets across the Close race)",
-			s.NumPackets(), st.DroppedAfterClose, got, want)
-	}
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatalf("Estimator after Close: %v", err)
-	}
-	if got := est.Estimate(FlowID(1), CSM); got != got {
-		t.Fatalf("estimate is NaN after racing Close")
-	}
-	s.Close() // idempotent under racing handles too
 }

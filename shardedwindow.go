@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"github.com/caesar-sketch/caesar/internal/epoch"
-	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
@@ -62,12 +60,12 @@ type ShardedWindow struct {
 	nshards int
 	opts    ShardedOptions
 
-	// hasher derives fast flow IDs for the tuple ingest paths when
-	// opts.FlowHash == FlowHashFast. It is keyed from the *base* cfg.Seed,
-	// not the per-epoch strided seeds, so a flow keeps one ID for the life
-	// of the window — windowed estimates sum the same FlowID across sealed
-	// epochs, which only works if rotation never re-keys the tuple hash.
-	hasher hashing.FlowIDer
+	// hasher derives flow IDs for the tuple ingest paths under
+	// opts.FlowHash. The fast hash is keyed from the *base* cfg.Seed, not the
+	// per-epoch strided seeds, so a flow keeps one ID for the life of the
+	// window — windowed estimates sum the same FlowID across sealed epochs,
+	// which only works if rotation never re-keys the tuple hash.
+	hasher tupleHasher
 
 	// mu serializes lifecycle transitions: Rotate, Close, and handle
 	// minting. The packet path never takes it.
@@ -120,7 +118,7 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 	if epochs < 1 {
 		return nil, fmt.Errorf("caesar: sharded window needs >= 1 epoch, got %d", epochs)
 	}
-	w := &ShardedWindow{cfg: cfg, nshards: nshards, opts: opts, hasher: hashing.NewFlowIDer(cfg.Seed)}
+	w := &ShardedWindow{cfg: cfg, nshards: nshards, opts: opts, hasher: newTupleHasher(opts.FlowHash, cfg.Seed)}
 	first, err := w.newEpochSharded(0)
 	if err != nil {
 		return nil, err
@@ -209,12 +207,7 @@ func (w *ShardedWindow) ObservePackets(tuples []FiveTuple) { w.legacy.ObservePac
 // callers can hash once and query the same FlowID across rotations.
 //
 //caesar:hotpath per-packet flow-ID derivation on the windowed tuple ingest path
-func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID {
-	if w.opts.FlowHash == FlowHashFast {
-		return w.hasher.ID(t)
-	}
-	return t.ID()
-}
+func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID { return w.hasher.id(t) }
 
 // WindowIngester is a per-producer ingest handle that follows the window
 // across rotations. It wraps the current epoch's Ingester; Rotate swaps
@@ -268,16 +261,7 @@ func (wi *WindowIngester) ObservePackets(tuples []FiveTuple) {
 		return
 	}
 	wi.mu.Lock()
-	if wi.w.opts.FlowHash == FlowHashFast {
-		wi.idBuf = wi.w.hasher.IDBlock(wi.idBuf[:0], tuples)
-	} else {
-		//caesar:ignore allocfree slices.Grow is a no-op once idBuf has reached steady-state capacity
-		wi.idBuf = slices.Grow(wi.idBuf[:0], len(tuples))
-		for _, t := range tuples {
-			//caesar:ignore allocfree idBuf was pre-grown to len(tuples) just above; the append writes into reserved capacity
-			wi.idBuf = append(wi.idBuf, t.ID())
-		}
-	}
+	wi.idBuf = wi.w.hasher.block(wi.idBuf[:0], tuples)
 	wi.h.ObserveBatch(wi.idBuf)
 	wi.mu.Unlock()
 }
