@@ -67,6 +67,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReadFrom -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzTornSnapshot -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzFiveTupleHash -fuzztime=$(FUZZTIME) ./internal/hashing
+	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/pcap
+	$(GO) test -run='^$$' -fuzz=FuzzReaderDifferential -fuzztime=$(FUZZTIME) ./internal/pcap
 
 # Verifies the committed CSNP golden fixtures still round-trip byte for byte
 # (writer) and bit for bit (reader). Regenerate intentionally-changed
@@ -110,16 +112,19 @@ hashquality:
 
 # Fast perf gate for CI: no hot path may allocate — single-sketch ingest
 # (TestSketchObserveZeroAllocs), sharded line-rate ingest
-# (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), and the
+# (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), the
 # fused tuple-block path (TestFlowIDZeroAllocs, plus the FlowIDer scratch
-# gate in internal/hashing) are deterministic gates; the bench runs also
-# surface the ns/op trend — including the fast flow-ID hash — in the job
-# log.
+# gate in internal/hashing), and the pcap decode (TestNextPacketZeroAllocs,
+# TestReadBlockZeroAllocs) are deterministic gates; the bench runs also
+# surface the ns/op trend — including the fast flow-ID hash and the
+# per-packet decode cost (BenchmarkReadBlock, ns/pkt) — in the job log.
 bench-smoke:
 	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
 	$(GO) test -run='TestFlowIDerZeroAllocs' -count=1 ./internal/hashing
+	$(GO) test -run='TestNextPacketZeroAllocs|TestReadBlockZeroAllocs' -count=1 ./internal/pcap
 	$(GO) test -run='^$$' -bench='BenchmarkSketchObserve$$' -benchtime=100x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkFlowID' -benchtime=100x -benchmem ./internal/hashing
+	$(GO) test -run='^$$' -bench='BenchmarkReadBlock$$' -benchtime=100x -benchmem ./internal/pcap
 
 # End-to-end drill of the live measurement service (docs/SERVICE.md):
 # builds the real caesar-serve binary, boots it on a trace replay with

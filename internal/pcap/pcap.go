@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"github.com/caesar-sketch/caesar/internal/hashing"
@@ -66,46 +67,78 @@ type Stats struct {
 	SkippedTransport int
 }
 
-// Reader decodes a pcap stream record by record.
+// Sizes of the read path.
+const (
+	globalHdrLen = 24
+	recHdrLen    = 16
+	// windowSize is the reader's window, and so the size of each read from
+	// the source. Windows of 16 to 128 KiB decoded a replay equally fast.
+	windowSize = 64 << 10
+	// maxCapLen bounds a record's captured length; a larger one is a corrupt
+	// header, not a packet.
+	maxCapLen = 1 << 20
+)
+
+// Reader decodes a pcap stream record by record. It reads the source
+// straight into one window it owns and decodes each record where it lies,
+// so every capture byte is copied once: the window is compacted only when a
+// record straddles its end, and grows only for a record larger than itself.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
+	src io.Reader
+	// win[off:end] holds the bytes read from src and not yet decoded.
+	win      []byte
+	off, end int
+	// srcErr is the error src returned (io.EOF at the end of the stream).
+	// Once it is set the source is not read again.
+	srcErr error
+	// swapped marks a capture written in the other byte order: header
+	// fields are read little-endian and then byte-reversed.
+	swapped bool
+	// fracNs converts a timestamp fraction to nanoseconds: 1e3 for
+	// microsecond captures, 1 for nanosecond ones.
+	fracNs   uint64
 	linkType uint32
 	stats    Stats
-	// buf is the reused record buffer behind NextPacket/ReadBlock: parse
-	// never retains record bytes past the call, so one capture-sized buffer
-	// serves the whole replay and the steady state allocates nothing.
-	buf []byte
-	// hdr is the record-header scratch. A local array would escape through
-	// the io.ReadFull interface call and cost one heap allocation per record.
-	hdr [16]byte
+	// stop and stopLen say why next last returned false; stopErr turns
+	// them into the caller's error.
+	stop    stopReason
+	stopLen uint32
 }
+
+type stopReason uint8
+
+const (
+	stopEOF    stopReason = iota // clean end of capture at a record boundary
+	stopHeader                   // source ended or failed inside a record header
+	stopLength                   // record header claims more than maxCapLen bytes
+	stopBody                     // source ended or failed inside a record body
+)
 
 // NewReader parses the global header and returns a reader positioned at the
 // first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: reading global header: %w", err)
+	pr := &Reader{src: r, win: make([]byte, windowSize)}
+	if !pr.fill(globalHdrLen) {
+		return nil, fmt.Errorf("pcap: reading global header: %w", pr.shortErr())
 	}
-	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
-	magicBE := binary.BigEndian.Uint32(hdr[0:4])
-	pr := &Reader{r: br}
-	switch {
-	case magicLE == magicUsecLE:
-		pr.order = binary.LittleEndian
-	case magicLE == magicNsecLE:
-		pr.order, pr.nanos = binary.LittleEndian, true
-	case magicBE == magicUsecLE:
-		pr.order = binary.BigEndian
-	case magicBE == magicNsecLE:
-		pr.order, pr.nanos = binary.BigEndian, true
+	hdr := pr.win[:globalHdrLen]
+	pr.off = globalHdrLen
+	magic := binary.LittleEndian.Uint32(hdr[0:4])
+	if magic == bits.ReverseBytes32(magicUsecLE) || magic == bits.ReverseBytes32(magicNsecLE) {
+		pr.swapped, magic = true, bits.ReverseBytes32(magic)
+	}
+	switch magic {
+	case magicUsecLE:
+		pr.fracNs = 1e3
+	case magicNsecLE:
+		pr.fracNs = 1
 	default:
 		return nil, ErrNotPcap
 	}
-	pr.linkType = pr.order.Uint32(hdr[20:24])
+	pr.linkType = binary.LittleEndian.Uint32(hdr[20:24])
+	if pr.swapped {
+		pr.linkType = bits.ReverseBytes32(pr.linkType)
+	}
 	if pr.linkType != LinkEthernet && pr.linkType != LinkRaw {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", pr.linkType)
 	}
@@ -128,60 +161,16 @@ func (pr *Reader) Next() (Packet, error) {
 	return p, nil
 }
 
-// NextPacket decodes the next parseable packet into *p, reusing the reader's
-// internal record buffer: after the first few records the replay loop
-// performs no allocation per packet, which is what the line-rate ingest
-// benchmarks (and any production replay) want. Records that cannot yield a
-// 5-tuple are skipped and counted; io.EOF signals a clean end of capture.
-//
-//caesar:hotpath the per-packet decode of a capture replay
+// NextPacket decodes the next parseable packet into *p straight from the
+// reader's window: once the window is warm the replay loop performs no
+// allocation per packet, which is what the line-rate ingest benchmarks (and
+// any production replay) want. Records that cannot yield a 5-tuple are
+// skipped and counted; io.EOF signals a clean end of capture.
 func (pr *Reader) NextPacket(p *Packet) error {
-	for {
-		rec := pr.hdr[:]
-		//caesar:ignore allocfree pr.r is a pointer (*bufio.Reader); pointer-to-interface conversion stores the pointer directly and does not box
-		if _, err := io.ReadFull(pr.r, rec); err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			//caesar:ignore allocfree error path only, terminal for the replay — never taken on the steady-state per-packet path
-			return fmt.Errorf("pcap: reading record header: %w", err)
-		}
-		sec := pr.order.Uint32(rec[0:4])
-		frac := pr.order.Uint32(rec[4:8])
-		capLen := pr.order.Uint32(rec[8:12])
-		origLen := pr.order.Uint32(rec[12:16])
-		const maxSane = 1 << 20
-		if capLen > maxSane {
-			//caesar:ignore allocfree error path only, terminal for the replay — never taken on the steady-state per-packet path
-			return fmt.Errorf("pcap: implausible captured length %d", capLen)
-		}
-		if uint32(cap(pr.buf)) < capLen {
-			//caesar:ignore allocfree grows at most a handful of times per capture (monotone to the largest snapped record), then every record reuses it
-			pr.buf = make([]byte, capLen)
-		}
-		data := pr.buf[:capLen]
-		//caesar:ignore allocfree pr.r is a pointer (*bufio.Reader); pointer-to-interface conversion stores the pointer directly and does not box
-		if _, err := io.ReadFull(pr.r, data); err != nil {
-			//caesar:ignore allocfree error path only, terminal for the replay — never taken on the steady-state per-packet path
-			return fmt.Errorf("pcap: reading %d-byte record: %w", capLen, err)
-		}
-		pr.stats.Records++
-
-		ts := uint64(sec) * 1e9
-		if pr.nanos {
-			ts += uint64(frac)
-		} else {
-			ts += uint64(frac) * 1e3
-		}
-
-		tuple, ok := pr.parse(data)
-		if !ok {
-			continue
-		}
-		pr.stats.Parsed++
-		p.Tuple, p.TimestampNs, p.Length = tuple, ts, int(origLen)
+	if pr.next(p) {
 		return nil
 	}
+	return pr.stopErr()
 }
 
 // ReadBlock decodes up to len(dst) packets into dst and returns how many it
@@ -190,11 +179,108 @@ func (pr *Reader) NextPacket(p *Packet) error {
 // error. Allocation-free in the steady state, like NextPacket.
 func (pr *Reader) ReadBlock(dst []Packet) (int, error) {
 	for n := range dst {
-		if err := pr.NextPacket(&dst[n]); err != nil {
-			return n, err
+		if !pr.next(&dst[n]) {
+			return n, pr.stopErr()
 		}
 	}
 	return len(dst), nil
+}
+
+// next is the record decoder behind NextPacket and ReadBlock. It decodes
+// the next parseable record into *p, skipping and counting the records that
+// yield no 5-tuple, and reports false when decoding stops; pr.stop says
+// why.
+//
+//caesar:hotpath the per-packet decode of a capture replay
+func (pr *Reader) next(p *Packet) bool {
+	for {
+		if pr.end-pr.off < recHdrLen && !pr.fill(recHdrLen) {
+			pr.stop = stopHeader
+			if pr.off == pr.end && pr.srcErr == io.EOF {
+				pr.stop = stopEOF
+			}
+			return false
+		}
+		h := (*[recHdrLen]byte)(pr.win[pr.off:])
+		sec := binary.LittleEndian.Uint32(h[0:4])
+		frac := binary.LittleEndian.Uint32(h[4:8])
+		capLen := binary.LittleEndian.Uint32(h[8:12])
+		origLen := binary.LittleEndian.Uint32(h[12:16])
+		if pr.swapped {
+			sec, frac = bits.ReverseBytes32(sec), bits.ReverseBytes32(frac)
+			capLen, origLen = bits.ReverseBytes32(capLen), bits.ReverseBytes32(origLen)
+		}
+		pr.off += recHdrLen
+		if capLen > maxCapLen {
+			pr.stop, pr.stopLen = stopLength, capLen
+			return false
+		}
+		n := int(capLen)
+		if pr.end-pr.off < n && !pr.fill(n) {
+			pr.stop, pr.stopLen = stopBody, capLen
+			return false
+		}
+		data := pr.win[pr.off : pr.off+n]
+		pr.off += n
+		pr.stats.Records++
+		if skipped := pr.parse(data, &p.Tuple); skipped != nil {
+			*skipped++
+			continue
+		}
+		pr.stats.Parsed++
+		p.TimestampNs = uint64(sec)*1e9 + uint64(frac)*pr.fracNs
+		p.Length = int(origLen)
+		return true
+	}
+}
+
+// fill makes at least need bytes available at win[off:], compacting the
+// window when they would run past its end and growing it when need exceeds
+// it. It returns false when the source ends or fails first; the cause stays
+// in srcErr.
+func (pr *Reader) fill(need int) bool {
+	if pr.off+need > len(pr.win) {
+		win := pr.win
+		if need > len(win) {
+			//caesar:ignore allocfree only a record larger than the window grows it (to at most maxCapLen, once per new maximum); every other record is decoded in place
+			win = make([]byte, need)
+		}
+		pr.end = copy(win, pr.win[pr.off:pr.end])
+		pr.win, pr.off = win, 0
+	}
+	for pr.end-pr.off < need {
+		if pr.srcErr != nil {
+			return false
+		}
+		n, err := pr.src.Read(pr.win[pr.end:])
+		pr.end += n
+		pr.srcErr = err
+	}
+	return true
+}
+
+// stopErr builds the error for the reason next stopped. It stays out of
+// next so that the per-record path never formats an error.
+func (pr *Reader) stopErr() error {
+	switch pr.stop {
+	case stopEOF:
+		return io.EOF
+	case stopHeader:
+		return fmt.Errorf("pcap: reading record header: %w", pr.shortErr())
+	case stopLength:
+		return fmt.Errorf("pcap: implausible captured length %d", pr.stopLen)
+	default:
+		return fmt.Errorf("pcap: reading %d-byte record: %w", pr.stopLen, pr.shortErr())
+	}
+}
+
+// shortErr is the error io.ReadFull reports for a field the source cut
+// short after the end-off bytes buffered so far.
+func (pr *Reader) shortErr() error {
+	if pr.srcErr == io.EOF && pr.end > pr.off {
+		return io.ErrUnexpectedEOF
+	}
+	return pr.srcErr
 }
 
 // AppendTuples appends the 5-tuples of pkts[:n] to dst and returns it —
@@ -229,71 +315,60 @@ func (pr *Reader) ReadAll() ([]Packet, error) {
 	}
 }
 
-// parse walks link → network → transport headers.
-func (pr *Reader) parse(data []byte) (hashing.FiveTuple, bool) {
+// parse walks link → network → transport headers of one record. On success
+// it writes the 5-tuple into *t and returns nil; otherwise it leaves *t
+// alone and returns the Stats counter the record is skipped under.
+func (pr *Reader) parse(data []byte, t *hashing.FiveTuple) *int {
 	if pr.linkType == LinkEthernet {
 		if len(data) < 14 {
-			pr.stats.SkippedTruncated++
-			return hashing.FiveTuple{}, false
+			return &pr.stats.SkippedTruncated
 		}
 		etherType := binary.BigEndian.Uint16(data[12:14])
 		data = data[14:]
 		if etherType == 0x8100 { // 802.1Q VLAN tag
 			if len(data) < 4 {
-				pr.stats.SkippedTruncated++
-				return hashing.FiveTuple{}, false
+				return &pr.stats.SkippedTruncated
 			}
 			etherType = binary.BigEndian.Uint16(data[2:4])
 			data = data[4:]
 		}
 		if etherType != 0x0800 { // not IPv4
-			pr.stats.SkippedNonIP++
-			return hashing.FiveTuple{}, false
+			return &pr.stats.SkippedNonIP
 		}
 	}
-	return pr.parseIPv4(data)
-}
-
-func (pr *Reader) parseIPv4(data []byte) (hashing.FiveTuple, bool) {
 	if len(data) < 20 {
-		pr.stats.SkippedTruncated++
-		return hashing.FiveTuple{}, false
+		return &pr.stats.SkippedTruncated
 	}
 	if data[0]>>4 != 4 {
-		pr.stats.SkippedNonIP++
-		return hashing.FiveTuple{}, false
+		return &pr.stats.SkippedNonIP
 	}
 	ihl := int(data[0]&0x0f) * 4
 	if ihl < 20 || len(data) < ihl {
-		pr.stats.SkippedTruncated++
-		return hashing.FiveTuple{}, false
+		return &pr.stats.SkippedTruncated
 	}
-	fragField := binary.BigEndian.Uint16(data[6:8])
-	if fragField&0x1fff != 0 { // nonzero fragment offset: no L4 header
-		pr.stats.SkippedFragments++
-		return hashing.FiveTuple{}, false
+	if binary.BigEndian.Uint16(data[6:8])&0x1fff != 0 { // nonzero fragment offset: no L4 header
+		return &pr.stats.SkippedFragments
 	}
-	t := hashing.FiveTuple{
-		SrcIP: binary.BigEndian.Uint32(data[12:16]),
-		DstIP: binary.BigEndian.Uint32(data[16:20]),
-		Proto: data[9],
-	}
-	l4 := data[ihl:]
-	switch t.Proto {
+	var srcPort, dstPort uint16
+	switch data[9] {
 	case 6, 17: // TCP, UDP: ports in the first 4 bytes
+		l4 := data[ihl:]
 		if len(l4) < 4 {
-			pr.stats.SkippedTruncated++
-			return hashing.FiveTuple{}, false
+			return &pr.stats.SkippedTruncated
 		}
-		t.SrcPort = binary.BigEndian.Uint16(l4[0:2])
-		t.DstPort = binary.BigEndian.Uint16(l4[2:4])
+		srcPort = binary.BigEndian.Uint16(l4[0:2])
+		dstPort = binary.BigEndian.Uint16(l4[2:4])
 	case 1: // ICMP: no ports; type/code distinguish "flows" poorly, use 0
-		t.SrcPort, t.DstPort = 0, 0
 	default:
-		pr.stats.SkippedTransport++
-		return hashing.FiveTuple{}, false
+		return &pr.stats.SkippedTransport
 	}
-	return t, true
+	// Field by field: a composite literal is built in a stack temporary and
+	// copied with one wide load, which stalls on store forwarding.
+	t.SrcIP = binary.BigEndian.Uint32(data[12:16])
+	t.DstIP = binary.BigEndian.Uint32(data[16:20])
+	t.SrcPort, t.DstPort = srcPort, dstPort
+	t.Proto = data[9]
+	return nil
 }
 
 // Writer emits a classic little-endian microsecond pcap with Ethernet
@@ -302,7 +377,15 @@ func (pr *Reader) parseIPv4(data []byte) (hashing.FiveTuple, bool) {
 type Writer struct {
 	w       *bufio.Writer
 	started bool
+	// rec and frame are the record header and frame scratch; local arrays
+	// would escape through the bufio.Writer.Write calls and cost two heap
+	// allocations per packet.
+	rec   [recHdrLen]byte
+	frame [frameLen]byte
 }
+
+// frameLen is the synthesized frame: Ethernet(14) + IPv4(20) + L4 stub(4).
+const frameLen = 14 + 20 + 4
 
 // NewWriter wraps w; the global header is written on the first packet (or
 // Flush).
@@ -332,8 +415,8 @@ func (pw *Writer) WritePacket(t hashing.FiveTuple, timestampNs uint64, length in
 		}
 		pw.started = true
 	}
-	// Ethernet(14) + IPv4(20) + L4 stub(4).
-	frame := make([]byte, 14+20+4)
+	pw.frame = [frameLen]byte{}
+	frame := pw.frame[:]
 	be := binary.BigEndian
 	frame[12], frame[13] = 0x08, 0x00 // IPv4 ethertype
 	ip := frame[14:]
@@ -357,13 +440,13 @@ func (pw *Writer) WritePacket(t hashing.FiveTuple, timestampNs uint64, length in
 	if length < len(frame) {
 		length = len(frame)
 	}
-	var rec [16]byte
+	rec := pw.rec[:]
 	le := binary.LittleEndian
 	le.PutUint32(rec[0:4], uint32(timestampNs/1e9))
 	le.PutUint32(rec[4:8], uint32(timestampNs%1e9/1e3))
 	le.PutUint32(rec[8:12], uint32(len(frame)))
 	le.PutUint32(rec[12:16], uint32(length))
-	if _, err := pw.w.Write(rec[:]); err != nil {
+	if _, err := pw.w.Write(rec); err != nil {
 		return err
 	}
 	_, err := pw.w.Write(frame)

@@ -2,7 +2,9 @@ package pcap
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 
@@ -373,45 +375,125 @@ func BenchmarkReader(b *testing.B) {
 	}
 }
 
-// TestReadBlockMatchesNext pins the zero-alloc block path against the
-// one-at-a-time path on the same capture.
+// TestReadBlockMatchesNext pins the block path against the one-at-a-time
+// path on captures holding every skip class in both byte orders, at block
+// sizes that divide the packet count unevenly and that exceed it.
 func TestReadBlockMatchesNext(t *testing.T) {
-	data := writeSample(t)
-	one, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := one.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]Packet, 2)
-	var got []Packet
-	for {
-		n, err := blk.ReadBlock(dst)
-		got = append(got, dst[:n]...)
-		if err == io.EOF {
-			break
-		}
+	for name, data := range mixedCaptures(t) {
+		one, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("block path yielded %d packets, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("packet %d: block %+v, next %+v", i, got[i], want[i])
+		want, err := one.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 7, 256} {
+			blk, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]Packet, size)
+			var got []Packet
+			for {
+				n, err := blk.ReadBlock(dst)
+				got = append(got, dst[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != size {
+					t.Fatalf("%s/%d: short block of %d with a nil error", name, size, n)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: block path yielded %d packets, want %d", name, size, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s/%d: packet %d: block %+v, next %+v", name, size, i, got[i], want[i])
+				}
+			}
+			if blk.Stats() != one.Stats() {
+				t.Fatalf("%s/%d: stats: block %+v, next %+v", name, size, blk.Stats(), one.Stats())
+			}
 		}
 	}
-	if blk.Stats() != one.Stats() {
-		t.Fatalf("stats: block %+v, next %+v", blk.Stats(), one.Stats())
+}
+
+// replayCapture is n writer-synthesized packets cycling through TCP, UDP
+// and ICMP, the shape of a replayed trace export.
+func replayCapture(tb testing.TB, n int) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	tuples := sampleTuples()
+	for i := range n {
+		tu := tuples[i%len(tuples)]
+		tu.SrcIP += uint32(i)
+		if err := w.WritePacket(tu, uint64(i)*1000, 64+i%1400); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// replayBlock is the block size of the replay loops (examples/pcapingest,
+// the end-to-end benchmark).
+const replayBlock = 256
+
+// TestReadBlockZeroAllocs gates the block decode path at zero allocations
+// per block once the reader's window is warm.
+func TestReadBlockZeroAllocs(t *testing.T) {
+	const runs = 50
+	r, err := NewReader(bytes.NewReader(replayCapture(t, (runs+2)*replayBlock)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkts [replayBlock]Packet
+	tuples := make([]hashing.FiveTuple, 0, replayBlock)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := r.ReadBlock(pkts[:]); err != nil {
+			t.Fatal(err)
+		}
+		tuples = AppendTuples(tuples[:0], pkts[:])
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadBlock allocates %.1f per %d-packet block, want 0", allocs, replayBlock)
+	}
+}
+
+// BenchmarkReadBlock is the decode half of a fused replay:
+// ReadBlock + AppendTuples over 256-packet blocks, reported per packet.
+func BenchmarkReadBlock(b *testing.B) {
+	data := replayCapture(b, 1<<16)
+	var pkts [replayBlock]Packet
+	tuples := make([]hashing.FiveTuple, 0, replayBlock)
+	var r *Reader
+	packets := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if r == nil {
+			var err error
+			if r, err = NewReader(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n, err := r.ReadBlock(pkts[:])
+		if err == io.EOF {
+			r = nil
+		} else if err != nil {
+			b.Fatal(err)
+		}
+		tuples = AppendTuples(tuples[:0], pkts[:n])
+		packets += len(tuples)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets), "ns/pkt")
 }
 
 // TestNextPacketZeroAllocs gates the replay decode path at zero allocations
@@ -439,5 +521,50 @@ func TestNextPacketZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NextPacket allocates %.1f per record, want 0", allocs)
+	}
+}
+
+// TestWriterZeroAllocs gates the synthesizing writer at zero allocations
+// per packet: trace export and benchmark input generation write millions.
+func TestWriterZeroAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	tuples := sampleTuples()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.WritePacket(tuples[i%len(tuples)], uint64(i), 100); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("WritePacket allocates %.1f per packet, want 0", allocs)
+	}
+}
+
+// TestWriterBytesUnchanged pins the writer's exact output: TCP, ICMP after
+// TCP (so a reused frame must not leak ports), UDP and an unknown transport,
+// with clamped and oversized lengths. The digest is of the output of the
+// writer that built a fresh frame per packet.
+func TestWriterBytesUnchanged(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	tuples := []hashing.FiveTuple{
+		{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1234, DstPort: 80, Proto: 6},
+		{SrcIP: 0x0a000003, DstIP: 0x0a000001, SrcPort: 7, DstPort: 9, Proto: 1},
+		{SrcIP: 0xc0a80101, DstIP: 0x08080808, SrcPort: 5353, DstPort: 53, Proto: 17},
+		{SrcIP: 0xffffffff, DstIP: 0, SrcPort: 65535, DstPort: 1, Proto: 47},
+	}
+	lengths := []int{1500, 10, 70000, 64}
+	for i, tu := range tuples {
+		if err := w.WritePacket(tu, uint64(i)*1_234_567_891+999, lengths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "3f53138386023986b0747b05700048d9721d17932ba083ba41e769c7ed914bce"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 240 || got != want {
+		t.Fatalf("writer output changed: %d bytes, sha256 %s, want 240 bytes, %s", buf.Len(), got, want)
 	}
 }
