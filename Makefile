@@ -112,14 +112,18 @@ hashquality:
 
 # Fast perf gate for CI: no hot path may allocate — single-sketch ingest
 # (TestSketchObserveZeroAllocs), sharded line-rate ingest
-# (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), the
+# (TestIngestZeroAllocs), bulk query on a sketch, a shard set and a window
+# (TestEstimateManyZeroAllocs, TestShardedEstimateManyZeroAllocsSteadyState,
+# TestShardedWindowEstimateManyZeroAllocs), top-K selection whose
+# allocations stay flat in the candidate count (TestTopKAllocsBounded), the
 # fused tuple-block path (TestFlowIDZeroAllocs, plus the FlowIDer scratch
 # gate in internal/hashing), and the pcap decode (TestNextPacketZeroAllocs,
 # TestReadBlockZeroAllocs) are deterministic gates; the bench runs also
 # surface the ns/op trend — including the fast flow-ID hash and the
 # per-packet decode cost (BenchmarkReadBlock, ns/pkt) — in the job log.
 bench-smoke:
-	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
+	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestShardedEstimateManyZeroAllocsSteadyState|TestShardedWindowEstimateManyZeroAllocs|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
+	$(GO) test -run='TestTopKAllocsBounded' -count=1 ./detect
 	$(GO) test -run='TestFlowIDerZeroAllocs' -count=1 ./internal/hashing
 	$(GO) test -run='TestNextPacketZeroAllocs|TestReadBlockZeroAllocs' -count=1 ./internal/pcap
 	$(GO) test -run='^$$' -bench='BenchmarkSketchObserve$$' -benchtime=100x -benchmem .

@@ -21,7 +21,8 @@
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	caesar "github.com/caesar-sketch/caesar"
 )
@@ -67,26 +68,69 @@ type Flow struct {
 // larger than the candidate set returns everything ranked. One bulk pass
 // over the candidates; workers parallelizes it when q supports QueryAll
 // (workers <= 0 means GOMAXPROCS, 1 forces the serial path).
+//
+// Selection keeps a size-k heap whose root is the lowest-ranked survivor,
+// so each candidate costs one comparison against the root and only the k
+// survivors are sorted, rather than all n candidates. The output equals a
+// full sort truncated to k, ties included, because the rank order is total
+// on (estimate, ID).
 func TopK(q Querier, candidates []caesar.FlowID, m caesar.Method, k, workers int) []Flow {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
 	ests := estimateAll(q, candidates, m, workers, nil)
-	ranked := make([]Flow, len(candidates))
-	for i, f := range candidates {
-		ranked[i] = Flow{ID: f, Estimate: ests[i]}
+	k = min(k, len(candidates))
+	h := make([]Flow, k)
+	for i, f := range candidates[:k] {
+		h[i] = Flow{ID: f, Estimate: ests[i]}
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Estimate != ranked[j].Estimate {
-			return ranked[i].Estimate > ranked[j].Estimate
+	if k < len(candidates) {
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
 		}
-		return ranked[i].ID < ranked[j].ID
-	})
-	if k < len(ranked) {
-		ranked = ranked[:k]
+		for i, f := range candidates[k:] {
+			if c := (Flow{ID: f, Estimate: ests[k+i]}); cmpFlow(c, h[0]) < 0 {
+				h[0] = c
+				siftDown(h, 0)
+			}
+		}
 	}
-	return ranked
+	slices.SortFunc(h, cmpFlow)
+	return h
 }
+
+// siftDown restores the heap property below h[i] for a heap whose root is
+// its lowest-ranked element (the largest under cmpFlow).
+func siftDown(h []Flow, i int) {
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && cmpFlow(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && cmpFlow(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// cmpRank is the detectors' ranking order: descending estimate, ties by
+// ascending flow ID. It is negative when a ranks before b.
+func cmpRank(aEst float64, aID caesar.FlowID, bEst float64, bID caesar.FlowID) int {
+	if aEst != bEst {
+		if aEst > bEst {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(aID, bID)
+}
+
+func cmpFlow(a, b Flow) int { return cmpRank(a.Estimate, a.ID, b.Estimate, b.ID) }
 
 // Alert is one candidate whose estimate cleared a threshold.
 type Alert struct {
@@ -111,12 +155,7 @@ func OverThreshold(q IntervalQuerier, candidates []caesar.FlowID, alpha, thresho
 			alerts = append(alerts, Alert{ID: f, Estimate: est, Lo: iv.Lo})
 		}
 	}
-	sort.Slice(alerts, func(i, j int) bool {
-		if alerts[i].Estimate != alerts[j].Estimate {
-			return alerts[i].Estimate > alerts[j].Estimate
-		}
-		return alerts[i].ID < alerts[j].ID
-	})
+	slices.SortFunc(alerts, func(a, b Alert) int { return cmpRank(a.Estimate, a.ID, b.Estimate, b.ID) })
 	return alerts
 }
 
@@ -150,18 +189,15 @@ func Changes(before, after Querier, candidates []caesar.FlowID, m caesar.Method,
 			out = append(out, Change{ID: f, Before: prev[i], After: cur[i], Delta: d})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := out[i].Delta, out[j].Delta
-		if di < 0 {
-			di = -di
+	slices.SortFunc(out, func(a, b Change) int {
+		da, db := a.Delta, b.Delta
+		if da < 0 {
+			da = -da
 		}
-		if dj < 0 {
-			dj = -dj
+		if db < 0 {
+			db = -db
 		}
-		if di != dj {
-			return di > dj
-		}
-		return out[i].ID < out[j].ID
+		return cmpRank(da, a.ID, db, b.ID)
 	})
 	return out
 }
@@ -212,7 +248,7 @@ func (c *Candidates) Flows() []caesar.FlowID {
 		for f := range c.seen {
 			c.flows = append(c.flows, f)
 		}
-		sort.Slice(c.flows, func(i, j int) bool { return c.flows[i] < c.flows[j] })
+		slices.Sort(c.flows)
 	}
 	return c.flows
 }

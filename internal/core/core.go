@@ -97,6 +97,9 @@ type Sketch struct {
 	// est caches the default query-phase view for Estimate; invalidated
 	// whenever the SRAM contents change after a flush (MergeSRAM).
 	est *Estimator
+	// extra is onEvict's remainder tally, one slot per mapped counter;
+	// the K slots in use are back at zero between evictions.
+	extra [maxK]int
 }
 
 // New builds a CAESAR sketch from cfg.
@@ -188,9 +191,9 @@ func (s *Sketch) onEvict(flow hashing.FlowID, value uint64, _ cache.Reason) {
 	q := int(value % k)
 	s.idxBuf = s.sel.Select(flow, s.idxBuf[:0])
 
-	// extra[i] counts remainder units landing on mapped counter i.
-	// K <= maxK is enforced at construction, so the array stays on-stack.
-	var extra [maxK]int
+	// extra[i] counts remainder units landing on mapped counter i. Only
+	// the K slots in use are touched, and each is reset as it is spent.
+	extra := &s.extra
 	for j := 0; j < q; j++ {
 		extra[s.rng.Intn(s.cfg.K)]++
 	}
@@ -198,6 +201,7 @@ func (s *Sketch) onEvict(flow hashing.FlowID, value uint64, _ cache.Reason) {
 		if inc := p + uint64(extra[i]); inc > 0 {
 			s.sram.Add(int(idx), inc)
 		}
+		extra[i] = 0
 	}
 }
 

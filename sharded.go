@@ -1270,16 +1270,12 @@ type ShardedEstimator struct {
 	owner *Sharded
 	ests  []*Estimator
 
-	// Bulk-query scratch (EstimateMany/QueryAll): the per-shard grouping is
-	// rebuilt on every call but the backing slices are kept, so repeated
-	// whole-trace queries allocate nothing per flow. Not guarded: the
-	// estimator, like the per-shard ones, is not safe for concurrent use
-	// from multiple goroutines (QueryAll parallelizes internally).
-	grpOff   []int
-	grpCur   []int
-	grpFlows []FlowID
-	grpPos   []int32
-	grpVals  []float64
+	// query is the bulk-query scratch (EstimateMany/QueryAll), bounded by
+	// one chunk of flows and kept across calls, so repeated whole-trace
+	// queries allocate nothing per flow. Not guarded: the estimator, like
+	// the per-shard ones, is not safe for concurrent use from multiple
+	// goroutines (QueryAll parallelizes internally).
+	query shardQuery
 }
 
 // Covered reports whether the flow's owning shard produced a query view.

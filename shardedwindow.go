@@ -85,11 +85,12 @@ type ShardedWindow struct {
 	retiredDropped uint64
 	retiredStats   Stats
 
-	// queryMu serializes queries: sealed shard estimators reuse scratch
-	// buffers, so concurrent queries must not interleave on them.
+	// queryMu serializes queries: sealed shard estimators and the bulk
+	// query engine reuse scratch buffers, so concurrent queries must not
+	// interleave on them.
 	queryMu      sync.Mutex
 	epochScratch []*windowEpoch
-	sumScratch   []float64
+	query        shardQuery
 
 	// legacy backs the Observe compatibility wrappers.
 	legacy *WindowIngester
@@ -549,18 +550,21 @@ func (w *ShardedWindow) EstimateLossAdjusted(flow FlowID, m Method) float64 {
 	return w.Estimate(flow, m) / (1 - rho)
 }
 
-// EstimateMany computes every flow's windowed estimate with one bulk pass
-// per sealed epoch per shard — flows[i]'s estimate lands at index i, and
-// the result is bit-identical to calling Estimate in a loop. dst is reused
-// when it has capacity. Safe for concurrent use (queries serialize
-// internally).
+// EstimateMany computes every flow's windowed estimate in bulk —
+// flows[i]'s estimate lands at index i, and the result is bit-identical to
+// calling Estimate in a loop. Each chunk of flows is grouped by shard once
+// for all sealed epochs (every epoch routes alike), and each shard's epochs
+// then run back to back over that one group. dst is reused when it has
+// capacity.
+// Safe for concurrent use (queries serialize internally).
 func (w *ShardedWindow) EstimateMany(flows []FlowID, m Method, dst []float64) []float64 {
 	return w.queryAllWindow(flows, m, 1, dst)
 }
 
-// QueryAll is EstimateMany with each epoch's per-shard bulk passes fanned
-// out across workers goroutines (workers <= 0 means GOMAXPROCS). Output is
-// bit-identical regardless of worker count.
+// QueryAll is EstimateMany with the per-shard passes fanned out across
+// workers goroutines (workers <= 0 means GOMAXPROCS), once per chunk of
+// flows rather than once per epoch. Output is bit-identical regardless of
+// worker count.
 func (w *ShardedWindow) QueryAll(flows []FlowID, m Method, workers int, dst []float64) []float64 {
 	return w.queryAllWindow(flows, m, workers, dst)
 }
@@ -569,20 +573,21 @@ func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, ds
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
 	out := resizeFloats(dst, len(flows))
-	for i := range out {
-		out[i] = 0
-	}
-	if len(flows) == 0 {
+	epochs := w.snapshotEpochs()
+	if len(epochs) == 0 {
+		clear(out)
 		return out
 	}
-	scratch := resizeFloats(w.sumScratch, len(flows))
-	for _, we := range w.snapshotEpochs() {
-		scratch = we.est.queryAll(flows, m, workers, scratch)
-		for i, v := range scratch {
-			out[i] += v
+	w.query.ests = w.query.ests[:0]
+	for i, we := range epochs {
+		// One grouping serves every epoch only because every epoch routes
+		// like the window; never regroup silently.
+		if len(we.est.ests) != w.nshards {
+			panic(fmt.Sprintf("caesar: sealed epoch %d has %d shards, window has %d", i, len(we.est.ests), w.nshards))
 		}
+		w.query.addEpoch(we.est)
 	}
-	w.sumScratch = scratch
+	w.query.run(epochs[0].est.owner.router, flows, m, workers, out)
 	return out
 }
 

@@ -151,6 +151,11 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		if epochErr != nil {
 			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, epochErr)
 		}
+		// Window queries group flows by shard once for every epoch, so
+		// every epoch must route like the window.
+		if sh.NumShards() != nshards {
+			return nil, fmt.Errorf("caesar: sealed epoch %d has %d shards, window has %d", i, sh.NumShards(), nshards)
+		}
 		est, err := sh.Estimator()
 		if err != nil {
 			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, err)

@@ -2,7 +2,9 @@ package caesar
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -335,5 +337,132 @@ func TestShardedWindowSnapshotWhileIngesting(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// queryTestWindow builds a window of three sealed epochs over nshards
+// shards. The traffic covers only a slice of the query flows, so queries
+// mix observed flows with pure sharing noise.
+func queryTestWindow(t *testing.T, nshards int) *ShardedWindow {
+	t.Helper()
+	w, err := NewShardedWindow(3, nshards, shardedWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	for e := 0; e < 3; e++ {
+		for i := 0; i < 20000; i++ {
+			h.Observe(FlowID((i * (e + 3) * 2654435761) % 4099))
+		}
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// checkWindowQueryMatchesScalar requires EstimateMany and QueryAll at
+// every worker count to equal the scalar Estimate loop bit for bit, on
+// every prefix length in counts of flows.
+func checkWindowQueryMatchesScalar(t *testing.T, name string, w *ShardedWindow, flows []FlowID, counts []int) {
+	t.Helper()
+	for _, m := range []Method{CSM, MLM} {
+		want := make([]float64, len(flows))
+		for i, f := range flows {
+			want[i] = w.Estimate(f, m)
+		}
+		for _, n := range counts {
+			for _, workers := range []int{1, 2, 4} {
+				got := w.QueryAll(flows[:n], m, workers, nil)
+				if workers == 1 {
+					got = w.EstimateMany(flows[:n], m, got)
+				}
+				if len(got) != n {
+					t.Fatalf("%s %v n=%d workers=%d: %d results", name, m, n, workers, len(got))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %v n=%d workers=%d flow %d: bulk %v, scalar %v",
+							name, m, n, workers, flows[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardedWindowQueryMatchesScalar pins the window's bulk query — one
+// shard grouping per chunk of flows, every epoch summed over it — to the
+// scalar loop across chunk boundaries, worker and shard counts, a sealed
+// epoch with an unrecoverable shard, and a restored window.
+func TestShardedWindowQueryMatchesScalar(t *testing.T) {
+	counts := []int{0, 1, queryChunk - 1, queryChunk, queryChunk + 1, 3*queryChunk + 7}
+	flows := make([]FlowID, counts[len(counts)-1])
+	for i := range flows {
+		flows[i] = FlowID((i * 7919) % 9001) // repeats: duplicate query flows
+	}
+	for _, nshards := range []int{1, 2, 3} {
+		w := queryTestWindow(t, nshards)
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadShardedWindow(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWindowQueryMatchesScalar(t, fmt.Sprintf("restored shards=%d", nshards), r, flows, counts)
+
+		// An unrecoverable shard in the middle sealed epoch: its flows
+		// estimate 0 in that epoch, on the scalar and bulk paths alike.
+		w.lc.At(1).est.ests[nshards-1] = nil
+		checkWindowQueryMatchesScalar(t, fmt.Sprintf("quarantined shards=%d", nshards), w, flows, counts)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardedWindowEpochShardCountMismatch requires a snapshot whose
+// sealed epochs disagree with the window's shard count to fail the
+// restore: window queries route every epoch with one grouping.
+func TestShardedWindowEpochShardCountMismatch(t *testing.T) {
+	w := queryTestWindow(t, 2)
+	w.nshards = 3
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadShardedWindow(&buf); err == nil || !strings.Contains(err.Error(), "has 2 shards, window has 3") {
+		t.Fatalf("restore of a mismatched epoch: err = %v, want a shard-count error", err)
+	}
+	w.nshards = 2
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestShardedWindowEstimateManyZeroAllocs(t *testing.T) {
+	for _, nshards := range []int{1, 3} {
+		w := queryTestWindow(t, nshards)
+		flows, _ := bulkAPIFlows(1024)
+		dst := make([]float64, len(flows))
+		w.EstimateMany(flows, CSM, dst) // warm the query scratch
+		if allocs := testing.AllocsPerRun(20, func() {
+			w.EstimateMany(flows, CSM, dst)
+		}); allocs != 0 {
+			t.Fatalf("shards=%d: window EstimateMany allocated %.1f times per run in steady state", nshards, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			w.QueryAll(flows, MLM, 1, dst)
+		}); allocs != 0 {
+			t.Fatalf("shards=%d: single-worker window QueryAll allocated %.1f times per run", nshards, allocs)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
