@@ -198,8 +198,8 @@ func BenchmarkSketchObserveBatch(b *testing.B) {
 	}
 }
 
-// shardedIngestConfig is the shared configuration of the parallel-ingest
-// benchmark pair below. The workload is hit-dominated (1024 resident flows
+// shardedIngestConfig is the configuration of the parallel-ingest
+// benchmark below. The workload is hit-dominated (1024 resident flows
 // across 4 shards with room to spare) because that is the regime the paper
 // argues for: the on-chip cache absorbs line-rate traffic, so the ingest
 // path — not eviction handling — is what must scale with producers. The
@@ -209,34 +209,10 @@ func shardedIngestConfig() Config {
 	return Config{Counters: 1 << 16, CacheEntries: 1 << 12, CacheCapacity: 64, Seed: 1}
 }
 
-// BenchmarkShardedObserveParallelMutex is the global-serialization
-// baseline: every producer goroutine funnels packets through the Observe
-// compatibility wrapper, so all of them contend on the one internal
-// handle's mutex — the shape of the ingest path before per-producer
-// handles existed.
-func BenchmarkShardedObserveParallelMutex(b *testing.B) {
-	s, err := NewSharded(4, shardedIngestConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			s.Observe(FlowID(i & 1023))
-			i++
-		}
-	})
-	b.StopTimer()
-	s.Close()
-}
-
 // BenchmarkShardedObserveParallel measures contention-free parallel ingest:
 // every producer goroutine holds its own Ingester handle and delivers
 // packets the way a NIC ring hands them to a poll loop — in small batches —
 // so the packet path touches no shared state until a shard batch fills.
-// Same traffic, same resulting sketch state as the Mutex baseline above;
-// only the ingest path differs.
 func BenchmarkShardedObserveParallel(b *testing.B) {
 	s, err := NewSharded(4, shardedIngestConfig())
 	if err != nil {

@@ -97,10 +97,9 @@ func TestShardedEstimateManyBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		flows, sizes := bulkAPIFlows(1024)
+		h := s.Ingester()
 		for i, f := range flows {
-			for j := 0; j < sizes[i]; j++ {
-				s.Observe(f)
-			}
+			h.ObserveBatch(repeatFlow(f, sizes[i]))
 		}
 		s.Close()
 		est, err := s.Estimator()
@@ -140,9 +139,7 @@ func TestShardedEstimateManyZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows, _ := bulkAPIFlows(1024)
-	for _, f := range flows {
-		s.Observe(f)
-	}
+	s.Ingester().ObserveBatch(flows)
 	s.Close()
 	est, err := s.Estimator()
 	if err != nil {

@@ -55,10 +55,7 @@ func assertAccounting(t *testing.T, s *Sharded, observed uint64) Stats {
 
 // drive feeds n packets over nFlows flows through one handle.
 func drive(s *Sharded, n, nFlows int) {
-	h := s.Ingester()
-	for i := 0; i < n; i++ {
-		h.Observe(FlowID(i % nFlows))
-	}
+	s.Ingester().ObserveBatch(cyclicFlows(n, nFlows))
 }
 
 // TestChaosDropPolicyOverflow forces queue overflow with a slow consumer
@@ -289,7 +286,7 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < observed; i++ {
-			h.Observe(FlowID(i)) // blocks once the queue fills behind the wedged worker
+			h.ObserveBatch([]FlowID{FlowID(i)}) // blocks once the queue fills behind the wedged worker
 			progress.Add(1)
 		}
 	}()
@@ -358,7 +355,7 @@ func TestChaosFlushContextDeadline(t *testing.T) {
 	h := s.Ingester()
 	const buffered = 10
 	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
+		h.ObserveBatch([]FlowID{FlowID(i)})
 	}
 	// First flush fills the queue's one slot (worker not yet wedged on it);
 	// it must succeed.
@@ -366,14 +363,14 @@ func TestChaosFlushContextDeadline(t *testing.T) {
 		t.Fatalf("first FlushContext: %v", err)
 	}
 	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
+		h.ObserveBatch([]FlowID{FlowID(i)})
 	}
 	// The worker is (or will be) wedged on the first batch and the queue
 	// slot may still be free; fill it with a second flush, then a third
 	// flush against an expired context must count its packets as drops.
 	_ = h.FlushContext(context.Background())
 	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
+		h.ObserveBatch([]FlowID{FlowID(i)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -555,7 +552,7 @@ func TestChaosShardedWindowRotationStress(t *testing.T) {
 					return
 				default:
 				}
-				h.Observe(FlowID(p*1000 + i%97))
+				h.ObserveBatch([]FlowID{FlowID(p*1000 + i%97)})
 				observed.Add(1)
 				if i%64 == 0 {
 					for j := range batch {
@@ -630,9 +627,7 @@ func TestChaosShardedWindowPanicMidSeal(t *testing.T) {
 	}
 	h := w.Ingester()
 	const firstEpoch = 600
-	for i := 0; i < firstEpoch; i++ {
-		h.Observe(FlowID(i % 97))
-	}
+	h.ObserveBatch(cyclicFlows(firstEpoch, 97))
 	armed.Store(true)
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
@@ -659,9 +654,7 @@ func TestChaosShardedWindowPanicMidSeal(t *testing.T) {
 		t.Fatalf("next epoch Health = %v, want Healthy", w.Health())
 	}
 	const secondEpoch = 500
-	for i := 0; i < secondEpoch; i++ {
-		h.Observe(FlowID(i % 97))
-	}
+	h.ObserveBatch(cyclicFlows(secondEpoch, 97))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

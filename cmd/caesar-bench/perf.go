@@ -6,11 +6,11 @@ package main
 // sweep. This gives the repository a perf trajectory: commit the file, and
 // a regression is a diff, not an anecdote.
 //
-// The parallel pair needs real parallelism to mean anything, so the
+// The parallel producers need real parallelism to mean anything, so the
 // harness raises GOMAXPROCS to at least 4 for the duration of the run (and
 // records both the forced value and the machine's CPU count — on a
-// single-CPU container the speedup is measured under timeslicing and
-// understates what multicore hardware delivers).
+// single-CPU container the producers are measured under timeslicing and
+// understate what multicore hardware delivers).
 
 import (
 	"encoding/json"
@@ -47,10 +47,6 @@ type perfReport struct {
 	// BatchSweep is the ingester-path ns/op as ShardedOptions.BatchSize
 	// varies, shard count fixed at 4.
 	BatchSweep []perfBenchmark `json:"batch_size_sweep"`
-	// SpeedupParallelVsMutex is ns/op(mutex wrapper) / ns/op(per-producer
-	// ingester handles) on the same hit-dominated traffic — the headline
-	// number for this PR's contention-free ingest path.
-	SpeedupParallelVsMutex float64 `json:"speedup_parallel_vs_mutex"`
 }
 
 func perfSketchConfig() caesar.Config {
@@ -103,18 +99,12 @@ func runPerf(path string, count int) {
 		measure("SketchObserveChurn", 0, 0, benchSketchObserveChurn),
 	)
 
-	// The headline pair: the same hit-dominated traffic through the
-	// global-mutex Observe wrapper vs per-producer Ingester handles.
-	mutex := measure("ShardedObserveParallelMutex", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedMutex(b, 4)
-	})
-	handles := measure("ShardedObserveParallel", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedIngester(b, 4, caesar.ShardedOptions{})
-	})
-	rep.Benchmarks = append(rep.Benchmarks, mutex, handles)
-	if handles.NsOp > 0 {
-		rep.SpeedupParallelVsMutex = mutex.NsOp / handles.NsOp
-	}
+	// Hit-dominated traffic from parallel producers, each on its own
+	// Ingester handle.
+	rep.Benchmarks = append(rep.Benchmarks,
+		measure("ShardedObserveParallel", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
+			benchShardedIngester(b, 4, caesar.ShardedOptions{})
+		}))
 
 	for _, n := range []int{1, 2, 4, 8} {
 		rep.ShardScaling = append(rep.ShardScaling, measure(
@@ -140,8 +130,8 @@ func runPerf(path string, count int) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "perf: wrote %s (speedup parallel vs mutex: %.2fx at GOMAXPROCS=%d, %d CPU)\n",
-		path, rep.SpeedupParallelVsMutex, rep.GoMaxProcs, rep.NumCPU)
+	fmt.Fprintf(os.Stderr, "perf: wrote %s (GOMAXPROCS=%d, %d CPU)\n",
+		path, rep.GoMaxProcs, rep.NumCPU)
 }
 
 func benchSketchObserve(b *testing.B) {
@@ -186,23 +176,6 @@ func benchSketchObserveChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sk.Observe(caesar.FlowID(i))
 	}
-}
-
-func benchShardedMutex(b *testing.B, shards int) {
-	s, err := caesar.NewSharded(shards, perfSketchConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			s.Observe(caesar.FlowID(i & 1023))
-			i++
-		}
-	})
-	b.StopTimer()
-	s.Close()
 }
 
 // benchShardedIngester runs parallel producers, each on its own Ingester

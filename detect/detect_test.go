@@ -151,20 +151,21 @@ func TestChangesAcrossSealedEpochs(t *testing.T) {
 	var cand Candidates
 	const background = 200
 	feed := func(burst caesar.FlowID, burstPkts int) {
-		h := w.Ingester()
+		var pkts []caesar.FlowID
 		for i := 0; i < background; i++ {
 			f := caesar.FlowID(i + 1)
 			cand.Add(f)
 			for p := 0; p < 20; p++ {
-				h.Observe(f)
+				pkts = append(pkts, f)
 			}
 		}
 		if burstPkts > 0 {
 			cand.Add(burst)
 			for p := 0; p < burstPkts; p++ {
-				h.Observe(burst)
+				pkts = append(pkts, burst)
 			}
 		}
+		w.Ingester().ObserveBatch(pkts)
 	}
 	feed(0, 0) // quiet epoch
 	if err := w.Rotate(); err != nil {

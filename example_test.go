@@ -106,9 +106,13 @@ func ExampleNewSharded() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 900; i++ {
-		sh.Observe(caesar.FlowID(11))
+	// Each producer goroutine holds its own handle and hands packets over in
+	// blocks; here one producer sends one 900-packet block of flow 11.
+	pkts := make([]caesar.FlowID, 900)
+	for i := range pkts {
+		pkts[i] = 11
 	}
+	sh.Ingester().ObserveBatch(pkts)
 	sh.Close()
 	est, err := sh.Estimator()
 	if err != nil {

@@ -50,21 +50,24 @@ func main() {
 
 	fmt.Printf("sliding window of %d epochs; hot flow bursts in epochs 4-6\n\n", windowEpochs)
 	fmt.Println("epoch  hot pkts  window actual  window estimate  95% interval     epoch-over-epoch change")
+	var pkts []caesar.FlowID // one epoch's packets, in arrival order
 	for epoch := 0; epoch < totalEpochs; epoch++ {
 		// Background traffic: fresh flows each epoch.
+		pkts = pkts[:0]
 		for f := 0; f < background; f++ {
 			id := caesar.FiveTuple{
 				SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
 				SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 80, Proto: 6,
 			}.ID()
 			for p := 0; p < 1+rng.Intn(30); p++ {
-				h.Observe(id)
+				pkts = append(pkts, id)
 			}
 		}
 		// The hot flow's scheduled load.
 		for p := 0; p < schedule[epoch]; p++ {
-			h.Observe(hot)
+			pkts = append(pkts, hot)
 		}
+		h.ObserveBatch(pkts)
 
 		if err := w.Rotate(); err != nil {
 			log.Fatal(err)

@@ -143,9 +143,10 @@ func TestObservePacketsAfterClose(t *testing.T) {
 }
 
 // TestWindowObservePacketsFused drives the windowed fused path across a
-// rotation and checks it against scalar tuple ingest into a twin window. The
-// window's hasher is keyed from the base seed, so a flow must keep one ID
-// across epochs — the totals land on the same flow in both windows.
+// rotation and checks it against ObserveBatch of HashTuple-derived IDs into a
+// twin window, one packet per call. The window's hasher is keyed from the
+// base seed, so a flow must keep one ID across epochs and across the handle's
+// rebinds — the totals land on the same flow in both windows.
 func TestWindowObservePacketsFused(t *testing.T) {
 	cfg := shardedConfig()
 	opts := ShardedOptions{FlowHash: FlowHashFast}
@@ -162,7 +163,7 @@ func TestWindowObservePacketsFused(t *testing.T) {
 	ingestRound := func() {
 		fi.ObservePackets(tuples)
 		for _, tt := range tuples {
-			si.ObservePacket(tt)
+			si.ObserveBatch([]FlowID{scalar.HashTuple(tt)})
 		}
 	}
 	ingestRound()

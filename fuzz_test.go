@@ -105,9 +105,7 @@ func FuzzTornSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < 300; i++ {
-			sh.Observe(FlowID(i % 24))
-		}
+		sh.Ingester().ObserveBatch(cyclicFlows(300, 24))
 		sh.Close()
 		var sb bytes.Buffer
 		if _, err := sh.Snapshot(&sb); err != nil {
@@ -196,9 +194,7 @@ func FuzzSnapshotReadFrom(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		sh.Observe(FlowID(i % 40))
-	}
+	sh.Ingester().ObserveBatch(cyclicFlows(500, 40))
 	sh.Close()
 	var sharded bytes.Buffer
 	if _, err := sh.Snapshot(&sharded); err != nil {

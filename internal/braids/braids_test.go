@@ -1,7 +1,9 @@
 package braids
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -243,51 +245,81 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func TestDecodePropertyQuick(t *testing.T) {
-	// Property: in the generous regime (3 counters per flow, deep layers),
-	// random small instances decode every flow exactly.
-	f := func(seed uint64, sizesRaw []uint8) bool {
-		if len(sizesRaw) == 0 || len(sizesRaw) > 60 {
-			return true
-		}
-		flows := len(sizesRaw)
-		cfg := Config{
-			Layer1Counters: 3*flows + 9,
-			// 10-bit first layer: with sizes <= 200 almost nothing
-			// overflows, so stage-1 decode is near-trivial and the property
-			// isolates the flow-layer decoder.
-			Layer1Bits:     10,
-			Layer2Counters: 3*flows + 16,
-			Seed:           seed,
-		}
-		s, err := New(cfg)
-		if err != nil {
-			return false
-		}
-		ids := make([]hashing.FlowID, flows)
-		truth := make([]int, flows)
-		for i := range ids {
-			ids[i] = hashing.FlowID(hashing.Mix64(seed + uint64(i)))
-			truth[i] = int(sizesRaw[i]%200) + 1
-			for j := 0; j < truth[i]; j++ {
-				s.Observe(ids[i])
-			}
-		}
-		res := s.Decode(ids, 60)
-		// Exact reconstruction holds with high probability, not always: a
-		// random instance can contain a small cycle of mutually ambiguous
-		// flows. Require near-total exactness and bounded residual error.
-		exact := 0
-		for i := range ids {
-			if res.Estimates[i] == float64(truth[i]) {
-				exact++
-			} else if math.Abs(res.Estimates[i]-float64(truth[i])) > float64(truth[i])+1200 {
-				return false // wildly wrong is a decoder bug, not ambiguity
-			}
-		}
-		return exact >= flows*8/10
+// decodeProperty is the generous-regime decode property (3 counters per
+// flow, deep layers): a random small instance must decode at least 80% of
+// its separable flows exactly and no flow wildly wrong. A flow whose
+// layer-1 counter set equals another flow's is not separable: both flows
+// see exactly the same counters, so no decoder can split their total
+// between them, and they are left out of the exact count.
+func decodeProperty(seed uint64, sizesRaw []uint8) bool {
+	if len(sizesRaw) == 0 || len(sizesRaw) > 60 {
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	flows := len(sizesRaw)
+	cfg := Config{
+		Layer1Counters: 3*flows + 9,
+		// 10-bit first layer: with sizes <= 200 almost nothing
+		// overflows, so stage-1 decode is near-trivial and the property
+		// isolates the flow-layer decoder.
+		Layer1Bits:     10,
+		Layer2Counters: 3*flows + 16,
+		Seed:           seed,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		return false
+	}
+	ids := make([]hashing.FlowID, flows)
+	truth := make([]int, flows)
+	sets := make([]string, flows)
+	shared := make(map[string]int)
+	for i := range ids {
+		ids[i] = hashing.FlowID(hashing.Mix64(seed + uint64(i)))
+		truth[i] = int(sizesRaw[i]%200) + 1
+		for j := 0; j < truth[i]; j++ {
+			s.Observe(ids[i])
+		}
+		set := s.sel1.Select(ids[i], nil)
+		slices.Sort(set)
+		sets[i] = fmt.Sprint(set)
+		shared[sets[i]]++
+	}
+	res := s.Decode(ids, 60)
+	// Exact reconstruction holds with high probability, not always: a
+	// random instance can contain a small cycle of mutually ambiguous
+	// flows. Require near-total exactness and bounded residual error.
+	exact, separable := 0, 0
+	for i := range ids {
+		if math.Abs(res.Estimates[i]-float64(truth[i])) > float64(truth[i])+1200 {
+			return false // wildly wrong is a decoder bug, not ambiguity
+		}
+		if shared[sets[i]] > 1 {
+			continue
+		}
+		separable++
+		if res.Estimates[i] == float64(truth[i]) {
+			exact++
+		}
+	}
+	return exact >= separable*8/10
+}
+
+func TestDecodePropertyQuick(t *testing.T) {
+	// Inputs on which two flows share one layer-1 counter set; counting
+	// those flows toward exactness made the property fail on them.
+	for _, in := range []struct {
+		seed  uint64
+		sizes []uint8
+	}{
+		{0x38a6ba0094f98b09, []uint8{0xae, 0xc2, 0xac}},
+		{0xfe1064f4dc1be057, []uint8{0xc4, 0xe7, 0x72, 0xb2, 0x48}},
+		{0x120d6088ac9aa7c9, []uint8{0xae, 0x71, 0xad}},
+	} {
+		if !decodeProperty(in.seed, in.sizes) {
+			t.Errorf("seed %#x sizes %v: property failed", in.seed, in.sizes)
+		}
+	}
+	if err := quick.Check(decodeProperty, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

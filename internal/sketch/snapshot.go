@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,9 +34,14 @@ var snapshotMagic = [4]byte{'C', 'S', 'N', 'P'}
 // the container or section layouts; readers reject other versions.
 const Version uint16 = 1
 
-// MaxPayload bounds the declared payload length so corrupt headers cannot
-// drive huge allocations.
+// MaxPayload bounds the declared payload length. ReadSnapshot allocates
+// only as payload bytes arrive, so a corrupt length alone cannot drive a
+// large allocation.
 const MaxPayload = 1 << 31
+
+// payloadChunk is the payload buffer ReadSnapshot reserves before reading;
+// the buffer grows from there only as payload bytes arrive.
+const payloadChunk = 64 << 10
 
 // Sentinel errors for the failure modes callers distinguish.
 var (
@@ -135,10 +141,19 @@ func ReadSnapshot(r io.Reader, wantAlgo string) (payload []byte, n int64, err er
 	if payloadLen > MaxPayload {
 		return nil, n, fmt.Errorf("sketch: implausible payload length %d", payloadLen)
 	}
-	payload = make([]byte, payloadLen)
-	if err := read(payload); err != nil {
+	// The payload buffer grows with the bytes that actually arrive, so a
+	// torn or forged length field cannot force a MaxPayload allocation.
+	var body bytes.Buffer
+	body.Grow(int(min(payloadLen, payloadChunk)))
+	m, err := io.CopyN(&body, br, int64(payloadLen))
+	n += m
+	if err != nil {
+		if err == io.EOF && m > 0 {
+			err = io.ErrUnexpectedEOF // io.ReadFull's convention for a partial read
+		}
 		return nil, n, fmt.Errorf("sketch: reading %d-byte payload: %w", payloadLen, err)
 	}
+	payload = body.Bytes()
 	crc.Write(payload)
 
 	var sumBuf [4]byte

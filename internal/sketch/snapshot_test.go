@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -118,6 +120,26 @@ func TestSnapshotImplausiblePayloadLength(t *testing.T) {
 	resealChecksum(raw)
 	if _, _, err := ReadSnapshot(bytes.NewReader(raw), "c"); err == nil {
 		t.Fatal("oversized payload length accepted")
+	}
+}
+
+// TestSnapshotTornLengthBoundedAlloc feeds a header that declares a
+// MaxPayload-byte payload followed by only 100 bytes: the reader must reject
+// it while allocating in proportion to the bytes that arrived, not to the
+// declared length.
+func TestSnapshotTornLengthBoundedAlloc(t *testing.T) {
+	raw := mustWrite(t, "c", make([]byte, 100))
+	// The payload length field sits after magic(4)+version(2)+len(1)+algo(1).
+	binary.LittleEndian.PutUint64(raw[8:16], MaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadSnapshot(bytes.NewReader(raw), "c")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a wrapped io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("torn snapshot allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 

@@ -25,13 +25,11 @@ import (
 // the whole configured budget is used (per-shard totals sum exactly to the
 // configured Counters and CacheEntries).
 //
-// There are two ingest paths. Observe may be called from multiple
-// goroutines concurrently; it is a compatibility wrapper over one internal
-// Ingester handle, so concurrent callers serialize on that handle's mutex.
-// For ingest that scales with producers, each producer goroutine should
-// hold its own handle from Ingester(): handles buffer privately per shard
-// and never contend with each other. Call Close (or CloseContext) to drain
-// the workers (and every outstanding handle) before querying.
+// Packets enter through Ingester handles only: each producer goroutine
+// holds its own handle from Ingester(), and calls ObserveBatch (pre-hashed
+// flow IDs) or ObservePackets (raw 5-tuples). Handles buffer privately per
+// shard and never contend with each other. Call Close (or CloseContext) to
+// drain the workers (and every outstanding handle) before querying.
 //
 // # Overload and fault tolerance
 //
@@ -62,8 +60,9 @@ type Sharded struct {
 	// MixWithSeed(flow, seed) % n routing.
 	router *hashing.ShardRouter
 
-	// hasher derives flow IDs for the tuple-level entry points under
-	// opts.FlowHash; the fast hash is keyed from Config.Seed.
+	// hasher derives flow IDs for HashTuple and for the ObservePackets of
+	// the handles minted here, under opts.FlowHash; the fast hash is keyed
+	// from Config.Seed.
 	hasher tupleHasher
 
 	// batchPool recycles full batches handed to the shard workers back to
@@ -79,9 +78,6 @@ type Sharded struct {
 	// can never hit a closed channel (which would panic and silently drop
 	// the batch).
 	sendWG sync.WaitGroup
-
-	// legacy is the handle behind the Observe compatibility wrapper.
-	legacy *Ingester
 
 	// abort is closed (once) when a deadline-bounded shutdown gives up on
 	// stragglers: blocked senders fall out of their queue sends and workers
@@ -180,10 +176,9 @@ func (h Health) String() string {
 }
 
 // FlowHash selects the tuple → flow-ID derivation used by the tuple-level
-// ingest entry points (ObservePacket, ObservePackets, HashTuple). Entry
-// points that take pre-hashed FlowIDs (Observe, ObserveBatch) are
-// unaffected: the choice only matters where the sketch itself turns packet
-// headers into identifiers.
+// entry points (Ingester.ObservePackets, HashTuple). ObserveBatch takes
+// pre-hashed FlowIDs and is unaffected: the choice only matters where the
+// sketch itself turns packet headers into identifiers.
 type FlowHash int
 
 const (
@@ -393,7 +388,7 @@ type dropStats struct {
 	sampled    paddedCounter // Sample policy: packets thinned on overflow
 	quarantine paddedCounter // packets abandoned by or routed to a quarantined shard
 	timeout    paddedCounter // CloseContext/FlushContext deadline casualties
-	afterClose paddedCounter // Observe/ObserveBatch after Close (counted no-op)
+	afterClose paddedCounter // ObserveBatch/ObservePackets after Close (counted no-op)
 	injected   paddedCounter // batches suppressed by a BeforeEnqueue hook
 	batches    paddedCounter // whole batches dropped, all causes
 }
@@ -468,7 +463,6 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 		s.wg.Add(1)
 		go s.worker(i)
 	}
-	s.legacy = s.Ingester()
 	return s, nil
 }
 
@@ -626,22 +620,10 @@ func (s *Sharded) Options() ShardedOptions { return s.opts }
 
 // ShardFor returns the index of the shard that owns a flow.
 //
-//caesar:hotpath routes every packet on the scalar Observe path
+//caesar:hotpath routes every flow of a point query (ShardedEstimator.Estimate)
 func (s *Sharded) ShardFor(flow FlowID) int {
 	return s.router.Route(flow)
 }
-
-// Observe routes one packet to its shard. Safe for concurrent use; it is a
-// thin compatibility wrapper over an internal Ingester handle, so all
-// callers serialize on that handle's mutex. Producers that need ingest to
-// scale with cores should hold their own handle from Ingester(). After
-// Close, Observe is a counted no-op (see Ingester.Observe).
-func (s *Sharded) Observe(flow FlowID) { s.legacy.Observe(flow) }
-
-// ObserveBatch routes a batch of packets to their shards in one call,
-// amortizing the route-and-buffer cost. Safe for concurrent use; same
-// serialization and after-Close semantics as Observe.
-func (s *Sharded) ObserveBatch(flows []FlowID) { s.legacy.ObserveBatch(flows) }
 
 // HashTuple derives the packet's flow ID under this sketch's configured
 // FlowHash: the paper's SHA-1 ⊕ APHash by default, the keyed fast hash when
@@ -652,17 +634,6 @@ func (s *Sharded) ObserveBatch(flows []FlowID) { s.legacy.ObserveBatch(flows) }
 //caesar:hotpath per-packet flow-ID derivation on the tuple ingest path
 func (s *Sharded) HashTuple(t FiveTuple) FlowID { return s.hasher.id(t) }
 
-// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
-// the flow ID with the configured FlowHash.
-func (s *Sharded) ObservePacket(t FiveTuple) { s.Observe(s.HashTuple(t)) }
-
-// ObservePackets routes a batch of packets, given as raw 5-tuples, to their
-// shards through the shared legacy handle — the fused block ingest path
-// (hash block → route block → per-shard buffers) under one lock
-// acquisition. Producers that need ingest to scale should call
-// Ingester().ObservePackets on their own handles.
-func (s *Sharded) ObservePackets(tuples []FiveTuple) { s.legacy.ObservePackets(tuples) }
-
 // Ingester returns a new per-producer ingest handle. Handles own private
 // per-shard fill buffers, so producers holding distinct handles never
 // contend with each other on the packet path — the handle's mutex is
@@ -670,66 +641,68 @@ func (s *Sharded) ObservePackets(tuples []FiveTuple) { s.legacy.ObservePackets(t
 // buffered packets. Minting a new handle from a closed Sharded is a
 // programming error and panics; observing through an existing handle after
 // Close is a counted no-op.
-func (s *Sharded) Ingester() *Ingester {
-	h := &Ingester{s: s}
-	h.batches = make([]shardBatch, len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-	for i := range h.batches {
-		h.batches[i] = s.getBatch() //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
+func (s *Sharded) Ingester() *Ingester { return s.mint(&s.hasher) }
+
+// mint builds a handle that feeds s and derives tuple flow IDs with hasher,
+// and registers it for the Close drain.
+func (s *Sharded) mint(hasher *tupleHasher) *Ingester {
+	h := &Ingester{hasher: hasher, s: s, batches: s.newBatches()}
+	s.register(h)
+	return h
+}
+
+// newBatches returns one empty fill buffer per shard.
+func (s *Sharded) newBatches() []shardBatch {
+	batches := make([]shardBatch, len(s.shards))
+	for i := range batches {
+		batches[i] = s.getBatch()
 	}
+	return batches
+}
+
+// register adds h to the handles Close drains. Registering with a closed
+// Sharded is a programming error and panics.
+func (s *Sharded) register(h *Ingester) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		panic("caesar: Ingester after Close")
 	}
 	s.handles = append(s.handles, h)
-	return h
 }
 
-// Ingester is a per-producer ingest handle for a Sharded sketch. It is safe
-// for concurrent use, but its point is the opposite: give each producer
-// goroutine its own handle and the packet path never contends — Observe is
-// a buffered append behind a mutex no other producer touches, and only a
-// full batch (every BatchSize packets per shard) reaches shared state.
+// Ingester is a per-producer ingest handle, minted by Sharded.Ingester or
+// ShardedWindow.Ingester. It is safe for concurrent use, but its point is
+// the opposite: give each producer goroutine its own handle and the packet
+// path never contends — ObserveBatch and ObservePackets are buffered
+// appends behind a mutex no other producer touches, and only a full batch
+// (every BatchSize packets per shard) reaches shared state.
+//
+// A window's handle follows the window across rotations: Rotate rebinds it
+// to the next epoch's shard set under its mutex, so a call is never split
+// between epochs.
 type Ingester struct {
-	s *Sharded
+	// hasher derives ObservePackets flow IDs: the minting Sharded's, or the
+	// window's, which is keyed from the base seed and never changes across
+	// rotations.
+	hasher *tupleHasher
 
 	mu       sync.Mutex
+	s        *Sharded     // the shard set this handle feeds, guarded by mu
 	batches  []shardBatch // per-shard private fill buffers, guarded by mu
-	routeBuf []uint32     // ObserveBatch block-routing scratch, guarded by mu
+	routeBuf []uint32     // block-routing scratch, guarded by mu
 	idBuf    []FlowID     // ObservePackets block-hashing scratch, guarded by mu
 	closed   bool         // guarded by mu
 }
 
-// Observe routes one packet to its shard's buffer, dispatching the buffer
-// to the shard worker when it fills.
-//
-// After Close, Observe is a counted no-op: the packet is discarded and
-// accounted in Stats.DroppedAfterClose, so racing producers that lose the
-// Close rendezvous keep the observed == counted + dropped invariant instead
-// of crashing the process. (Before this contract was pinned, late observers
-// panicked; the counted no-op is strictly more robust and equally loud in
-// the accounting.)
-func (h *Ingester) Observe(flow FlowID) {
-	i := h.s.ShardFor(flow)
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		h.s.dropAfterClose(i, 1)
-		return
-	}
-	//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
-	b := append(h.batches[i], flow)
-	if len(b) == cap(b) {
-		h.batches[i] = h.s.getBatch()
-		h.dispatch(i, b)
-	} else {
-		h.batches[i] = b
-	}
-	h.mu.Unlock()
-}
-
 // ObserveBatch routes a batch of packets to their shards under a single
-// lock acquisition. After Close it is a counted no-op, like Observe.
+// lock acquisition, dispatching a shard's buffer to its worker when it
+// fills.
+//
+// After Close, ObserveBatch is a counted no-op: the packets are discarded
+// and accounted in Stats.DroppedAfterClose, so racing producers that lose
+// the Close rendezvous keep the observed == counted + dropped invariant
+// instead of crashing the process.
 //
 // The shard of every flow is computed first as one block (RouteBlock): the
 // routing hashes are data-independent, so the tight hash loop pipelines where
@@ -742,10 +715,11 @@ func (h *Ingester) ObserveBatch(flows []FlowID) {
 		return
 	}
 	h.mu.Lock()
+	s := h.s
 	if h.closed {
 		h.mu.Unlock()
 		for _, flow := range flows {
-			h.s.dropAfterClose(h.s.ShardFor(flow), 1)
+			s.dropAfterClose(s.ShardFor(flow), 1)
 		}
 		return
 	}
@@ -753,14 +727,14 @@ func (h *Ingester) ObserveBatch(flows []FlowID) {
 	// ObservePackets (not factored into a helper) so the lock acquisition
 	// and every guarded-field access sit in one function — the same
 	// two-full-bodies discipline as core's Add/addFrom.
-	h.routeBuf = h.s.router.RouteBlock(flows, h.routeBuf[:0])
+	h.routeBuf = s.router.RouteBlock(flows, h.routeBuf[:0])
 	for j, flow := range flows {
 		i := int(h.routeBuf[j])
 		//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
 		b := append(h.batches[i], flow)
 		if len(b) == cap(b) {
-			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
+			h.batches[i] = s.getBatch()
+			s.dispatch(i, b)
 		} else {
 			h.batches[i] = b
 		}
@@ -773,7 +747,7 @@ func (h *Ingester) ObserveBatch(flows []FlowID) {
 // FlowIDer.IDBlock pipelines independent hash states when fast), block shard
 // routing, and the per-shard buffer appends — all under a single lock
 // acquisition, with no per-packet call anywhere. After Close it is a counted
-// no-op, like Observe.
+// no-op, like ObserveBatch.
 //
 //caesar:hotpath the fused pcap.ReadBlock → IDBlock → RouteBlock → buffers ingest path
 func (h *Ingester) ObservePackets(tuples []FiveTuple) {
@@ -781,22 +755,23 @@ func (h *Ingester) ObservePackets(tuples []FiveTuple) {
 		return
 	}
 	h.mu.Lock()
+	s := h.s
 	if h.closed {
 		h.mu.Unlock()
 		for _, t := range tuples {
-			h.s.dropAfterClose(h.s.ShardFor(h.s.HashTuple(t)), 1)
+			s.dropAfterClose(s.ShardFor(h.hasher.id(t)), 1)
 		}
 		return
 	}
-	h.idBuf = h.s.hasher.block(h.idBuf[:0], tuples)
-	h.routeBuf = h.s.router.RouteBlock(h.idBuf, h.routeBuf[:0])
+	h.idBuf = h.hasher.block(h.idBuf[:0], tuples)
+	h.routeBuf = s.router.RouteBlock(h.idBuf, h.routeBuf[:0])
 	for j, flow := range h.idBuf {
 		i := int(h.routeBuf[j])
 		//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
 		b := append(h.batches[i], flow)
 		if len(b) == cap(b) {
-			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
+			h.batches[i] = s.getBatch()
+			s.dispatch(i, b)
 		} else {
 			h.batches[i] = b
 		}
@@ -810,10 +785,6 @@ func (s *Sharded) dropAfterClose(i, n int) {
 	s.shardDropped[i].Add(uint64(n))
 }
 
-// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
-// the flow ID with the configured FlowHash.
-func (h *Ingester) ObservePacket(t FiveTuple) { h.Observe(h.s.HashTuple(t)) }
-
 // Flush pushes the handle's partially-filled buffers to the shard workers
 // without closing the handle, bounding how long a trickle of packets can
 // sit invisible in a producer's buffers. The pushes respect the overflow
@@ -824,10 +795,11 @@ func (h *Ingester) Flush() {
 	if h.closed {
 		return
 	}
+	s := h.s
 	for i, b := range h.batches {
 		if len(b) > 0 {
-			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
+			h.batches[i] = s.getBatch()
+			s.dispatch(i, b)
 		}
 	}
 }
@@ -843,39 +815,64 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 	if h.closed {
 		return nil
 	}
+	s := h.s
 	var err error
 	for i, b := range h.batches {
 		if len(b) == 0 {
 			continue
 		}
-		h.batches[i] = h.s.getBatch()
+		h.batches[i] = s.getBatch()
 		if err != nil {
 			// The deadline already fired: count the rest without re-waiting.
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			h.s.putBatch(b)
+			s.dropBatch(i, len(b), &s.drops.timeout)
+			s.putBatch(b)
 			continue
 		}
 		select {
-		case h.s.queues[i] <- b:
+		case s.queues[i] <- b:
 		case <-ctx.Done():
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			h.s.putBatch(b)
+			s.dropBatch(i, len(b), &s.drops.timeout)
+			s.putBatch(b)
 			err = ctx.Err()
 		}
 	}
 	return err
 }
 
+// rebind moves a window handle onto next, the window's new epoch. The
+// packets it buffered for the old epoch move to a residual handle that
+// takes its place in the old epoch's drain list, so the old epoch's seal
+// drains them while this handle already feeds next. Nothing is drained
+// under h.mu: a producer waits for at most the one call in flight.
+func (h *Ingester) rebind(next *Sharded) {
+	batches := next.newBatches()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	old := h.s
+	old.replaceHandle(h, &Ingester{hasher: h.hasher, s: old, batches: h.batches})
+	next.register(h)
+	h.s, h.batches = next, batches
+}
+
+// replaceHandle swaps h for with in the handles Close drains.
+func (s *Sharded) replaceHandle(h, with *Ingester) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.handles, h); i >= 0 {
+		s.handles[i] = with
+	}
+}
+
 // dispatch hands one batch to shard i's worker, applying the overflow
-// policy. Called with h.mu held, which is what makes it safe against Close:
-// Close cannot finish draining this handle (and therefore cannot close the
-// queues) until h.mu is released, so the send always lands on an open
-// channel. The sendWG registration additionally orders the send against
-// Close for any caller that dispatches outside a drain-visible lock.
+// policy. Called with the dispatching handle's mutex held, which is what
+// makes it safe against Close: Close cannot finish draining that handle
+// (and therefore cannot close the queues) until the mutex is released, so
+// the send always lands on an open channel. The sendWG registration
+// additionally orders the send against Close for any caller that
+// dispatches outside a drain-visible lock.
 //
 //caesar:hotpath hands off one full batch per BatchSize packets
-func (h *Ingester) dispatch(i int, b shardBatch) {
-	s := h.s
+func (s *Sharded) dispatch(i int, b shardBatch) {
 	s.mu.Lock()
 	s.sendWG.Add(1)
 	s.mu.Unlock()
@@ -952,6 +949,7 @@ func (h *Ingester) drain(ctx context.Context) bool {
 		return false
 	}
 	h.closed = true
+	s := h.s
 	hit := false
 	for i, b := range h.batches {
 		h.batches[i] = nil
@@ -960,25 +958,24 @@ func (h *Ingester) drain(ctx context.Context) bool {
 		}
 		if hit {
 			// The deadline already fired: count without re-waiting.
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			s.dropBatch(i, len(b), &s.drops.timeout)
 			continue
 		}
 		select {
-		case h.s.queues[i] <- b:
+		case s.queues[i] <- b:
 		case <-ctx.Done():
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			s.dropBatch(i, len(b), &s.drops.timeout)
 			hit = true
-		case <-h.s.abort:
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+		case <-s.abort:
+			s.dropBatch(i, len(b), &s.drops.timeout)
 			hit = true
 		}
 	}
 	return hit
 }
 
-// Close drains every registered Ingester handle (the Observe compatibility
-// handle included), stops the workers, and flushes every shard's cache to
-// its counters. Idempotent. Close never gives up on queued work: with the
+// Close drains every registered Ingester handle, stops the workers, and
+// flushes every shard's cache to its counters. Idempotent. Close never gives up on queued work: with the
 // Block policy it waits for stalled consumers indefinitely — use
 // CloseContext to bound shutdown.
 func (s *Sharded) Close() {
@@ -1031,7 +1028,7 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 	}
 	timedOut := false
 	// Drain the handles: each drain takes the handle mutex, so it serializes
-	// after any in-flight Observe/dispatch on that handle, and marks the
+	// after any in-flight ingest call or dispatch on that handle, and marks the
 	// handle closed so later observers get the documented counted no-op.
 	for _, h := range handles {
 		if h.drain(ctx) {

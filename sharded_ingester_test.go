@@ -30,43 +30,11 @@ func shardedSnapshot(t *testing.T, s *Sharded) []byte {
 	return buf.Bytes()
 }
 
-// TestIngesterEquivalence feeds the same trace through the legacy Observe
-// wrapper and through a dedicated Ingester handle and requires byte-identical
-// snapshots: per-shard packet order is preserved regardless of which handle
-// buffered the packets, so the two paths must be indistinguishable to the
-// sketch state.
-func TestIngesterEquivalence(t *testing.T) {
-	legacy, err := NewSharded(4, ingesterTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle, err := NewSharded(4, ingesterTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := handle.Ingester()
-
-	rng := hashing.NewPRNG(3)
-	for i := 0; i < 50000; i++ {
-		f := FlowID(rng.Intn(2000))
-		legacy.Observe(f)
-		h.Observe(f)
-	}
-	legacy.Close()
-	handle.Close()
-
-	if got, want := handle.NumPackets(), legacy.NumPackets(); got != want {
-		t.Fatalf("NumPackets: ingester %d vs legacy %d", got, want)
-	}
-	if !bytes.Equal(shardedSnapshot(t, legacy), shardedSnapshot(t, handle)) {
-		t.Fatal("ingester-fed snapshot differs from legacy Observe snapshot")
-	}
-}
-
 // TestIngesterBatchSizeInvariance runs one trace under several batch sizes
-// (including the degenerate size 1, which dispatches every packet) and via
-// ObserveBatch, requiring identical snapshots: batching must only change
-// when packets move, never what the shards eventually see or in what order.
+// (including the degenerate size 1, which dispatches every packet) and
+// several call sizes, requiring identical snapshots: batching must only
+// change when packets move, never what the shards eventually see or in what
+// order.
 func TestIngesterBatchSizeInvariance(t *testing.T) {
 	trace := make([]FlowID, 30000)
 	rng := hashing.NewPRNG(5)
@@ -86,11 +54,11 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 			t.Fatalf("%+v: %v", opt, err)
 		}
 		h := s.Ingester()
-		// Mix the single-packet and batch entry points: same packets in the
-		// same order, so the result must not depend on the entry point either.
+		// Mix one-packet and block calls: same packets in the same order, so
+		// the result must not depend on the call size either.
 		h.ObserveBatch(trace[:10000])
 		for _, f := range trace[10000:20000] {
-			h.Observe(f)
+			h.ObserveBatch([]FlowID{f})
 		}
 		h.Flush() // mid-stream Flush must not disturb anything
 		h.ObserveBatch(trace[20000:])
@@ -171,7 +139,7 @@ func TestIngesterAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Ingester()
-	h.Observe(1)
+	h.ObserveBatch([]FlowID{1})
 	s.Close()
 
 	h.Flush() // must not panic or resurrect buffers
@@ -179,7 +147,7 @@ func TestIngesterAfterClose(t *testing.T) {
 		t.Fatalf("FlushContext after Close: %v", err)
 	}
 
-	h.Observe(2)
+	h.ObserveBatch([]FlowID{2})
 	h.ObserveBatch([]FlowID{2, 3})
 
 	defer func() {
@@ -200,7 +168,8 @@ func TestIngesterAfterClose(t *testing.T) {
 
 // TestIngesterCloseRace is the per-producer-handle analogue of
 // TestShardedObserveCloseRace: every producer owns an Ingester minted before
-// Close and mixes Observe with ObserveBatch while the main goroutine Closes.
+// Close and mixes one-packet with five-packet ObserveBatch calls while the
+// main goroutine Closes.
 // Under -race this guards the handle/Close rendezvous; the tally proves
 // exactly-once-or-counted delivery — every packet whose call started before
 // the Close rendezvous is drained, every later one is an after-Close drop,
@@ -258,7 +227,7 @@ func TestIngesterCloseRace(t *testing.T) {
 								h.ObserveBatch(batch[:])
 								sent.Add(uint64(len(batch)))
 							} else {
-								h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+								h.ObserveBatch([]FlowID{FlowID(uint64(w)<<32 | uint64(i%509))})
 								sent.Add(1)
 							}
 							if tc.flushEvery > 0 && i%tc.flushEvery == 0 {

@@ -7,12 +7,14 @@ import (
 	"time"
 )
 
-// TestShardedObserveCloseRace hammers the mu-guarded routing buffers:
-// many goroutines call Observe in a tight loop while the main goroutine
-// calls Close mid-stream. Under `go test -race` this fails if any access to
-// the handle's batches or closed flag loses its lock (remove a mu.Lock()
-// from Observe or Close to see it fire). It also proves the documented
-// Observe-after-Close contract: late observers become counted no-ops, and
+// TestShardedObserveCloseRace hammers the mu-guarded routing buffers of one
+// shared handle — the shape of ShardedWindow.ObserveBatch under concurrent
+// HTTP requests: many goroutines call ObserveBatch on it in a tight loop
+// while the main goroutine calls Close mid-stream. Under `go test -race`
+// this fails if any access to the handle's batches or closed flag loses its
+// lock (remove a mu.Lock() from ObserveBatch or Close to see it fire). It
+// also proves the documented ingest-after-Close contract: late observers
+// become counted no-ops, and
 // every packet sent — before or after Close won the race — is accounted for
 // exactly once:
 //
@@ -29,6 +31,7 @@ func TestShardedObserveCloseRace(t *testing.T) {
 	}
 
 	const workers = 8
+	h := s.Ingester()
 	var (
 		sent  atomic.Uint64
 		stop  atomic.Bool
@@ -41,7 +44,7 @@ func TestShardedObserveCloseRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; !stop.Load(); i++ {
-				s.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+				h.ObserveBatch([]FlowID{FlowID(uint64(w)<<32 | uint64(i%509))})
 				sent.Add(1)
 			}
 		}(w)
@@ -55,9 +58,9 @@ func TestShardedObserveCloseRace(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	// Every Observe was either appended under the lock and drained by Close,
+	// Every packet was either appended under the lock and drained by Close,
 	// or counted as an after-Close drop: no loss, no duplication. (sent is
-	// incremented after Observe returns, so the tallies agree exactly once
+	// incremented after ObserveBatch returns, so the tallies agree exactly once
 	// all workers have exited.)
 	st := s.Stats()
 	if got, want := s.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {

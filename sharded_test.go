@@ -18,6 +18,25 @@ func shardedConfig() Config {
 	}
 }
 
+// cyclicFlows returns n packets cycling over m flows: packet i belongs to
+// flow i%m.
+func cyclicFlows(n, m int) []FlowID {
+	flows := make([]FlowID, n)
+	for i := range flows {
+		flows[i] = FlowID(i % m)
+	}
+	return flows
+}
+
+// repeatFlow returns n packets of one flow.
+func repeatFlow(f FlowID, n int) []FlowID {
+	flows := make([]FlowID, n)
+	for i := range flows {
+		flows[i] = f
+	}
+	return flows
+}
+
 // smallShardedConfig is a small-budget config that still exercises cache
 // evictions and counter traffic.
 func smallShardedConfig() Config {
@@ -33,9 +52,7 @@ func TestShardedBasic(t *testing.T) {
 		t.Fatalf("NumShards = %d", s.NumShards())
 	}
 	const x = 2000
-	for i := 0; i < x; i++ {
-		s.Observe(77)
-	}
+	s.Ingester().ObserveBatch(repeatFlow(77, x))
 	s.Close()
 	if s.NumPackets() != x {
 		t.Fatalf("NumPackets = %d, want %d", s.NumPackets(), x)
@@ -89,8 +106,9 @@ func TestShardedConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			h := s.Ingester()
 			for i := 0; i < perWriter; i++ {
-				s.Observe(FlowID((w*perWriter + i) % flows))
+				h.ObserveBatch([]FlowID{FlowID((w*perWriter + i) % flows)})
 			}
 		}(w)
 	}
@@ -158,16 +176,17 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 	if _, err := s.Estimator(); err == nil {
 		t.Fatal("Estimator before Close accepted")
 	}
-	s.Observe(1)
+	h := s.Ingester()
+	h.ObserveBatch([]FlowID{1})
 	s.Close()
 	s.Close() // idempotent
 	if _, err := s.Estimator(); err != nil {
 		t.Fatal(err)
 	}
-	// Observe after Close is the documented counted no-op: the packet is
+	// Ingest after Close is the documented counted no-op: the packets are
 	// discarded, accounted in DroppedAfterClose, and the sketch is untouched.
-	s.Observe(2)
-	s.ObserveBatch([]FlowID{3, 4, 5})
+	h.ObserveBatch([]FlowID{2})
+	h.ObserveBatch([]FlowID{3, 4, 5})
 	if got := s.NumPackets(); got != 1 {
 		t.Fatalf("NumPackets after post-Close observes = %d, want 1", got)
 	}
@@ -185,9 +204,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		s.Observe(FlowID(i % 500))
-	}
+	s.Ingester().ObserveBatch(cyclicFlows(10000, 500))
 	s.Close()
 	st := s.Stats()
 	if st.Packets != 10000 {
@@ -334,7 +351,7 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 		packets int
 		flows   int  // population size
 		uniform bool // packet i belongs to flow i%flows (else seeded random)
-		chunk   int  // ObserveBatch size; 1 = Observe per packet
+		chunk   int  // packets per ObserveBatch call
 	}{
 		{name: "faults", shards: 4, cfg: smallShardedConfig(), batch: 64, hooks: faultHooks,
 			packets: 120_000, flows: 5000, chunk: 100},
@@ -363,13 +380,10 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 				hooks = tc.hooks() // a fresh, identically seeded schedule for the oracle
 			}
 			o := newShardOracle(t, tc.shards, tc.cfg, s.Options().BatchSize, hooks)
+			h := s.Ingester()
 			for start := 0; start < len(trace); start += tc.chunk {
 				chunk := trace[start:min(start+tc.chunk, len(trace))]
-				if len(chunk) == 1 {
-					s.Observe(chunk[0])
-				} else {
-					s.ObserveBatch(chunk)
-				}
+				h.ObserveBatch(chunk)
 				for _, f := range chunk {
 					o.observe(f)
 				}
@@ -483,9 +497,7 @@ func TestShardedSetDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20000; i++ {
-		s.Observe(FlowID(i % 300))
-	}
+	s.Ingester().ObserveBatch(cyclicFlows(20000, 300))
 	s.Close()
 	est, err := s.Estimator()
 	if err != nil {
@@ -499,6 +511,9 @@ func TestShardedSetDistribution(t *testing.T) {
 	}
 }
 
+// BenchmarkShardedObserve measures one-packet ObserveBatch calls from
+// parallel producers, each on its own handle, under cache churn (8,192
+// flows for 4,096 cache entries).
 func BenchmarkShardedObserve(b *testing.B) {
 	s, err := NewSharded(4, Config{
 		Counters: 1 << 16, CacheEntries: 1 << 12, CacheCapacity: 64, Seed: 1})
@@ -507,9 +522,12 @@ func BenchmarkShardedObserve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
+		h := s.Ingester()
+		var one [1]FlowID
 		i := 0
 		for pb.Next() {
-			s.Observe(FlowID(i & 8191))
+			one[0] = FlowID(i & 8191)
+			h.ObserveBatch(one[:])
 			i++
 		}
 	})

@@ -24,14 +24,16 @@ import (
 //
 //  1. The next epoch's shard set is built while the current one keeps
 //     ingesting — producers never wait on construction.
-//  2. Every WindowIngester handle is swapped onto the next epoch. The swap
-//     holds each handle's mutex just long enough to exchange a pointer, so
-//     a producer stalls for at most one in-flight Observe.
+//  2. Every Ingester handle is rebound to the next epoch. The rebind holds
+//     each handle's mutex just long enough to move its partially-filled
+//     buffers into a residual handle left in the old epoch and to point the
+//     handle at the next one, so a producer stalls for at most one
+//     in-flight call.
 //  3. The seal barrier: the old epoch is closed, which drains every one of
-//     its Ingester handles (including partially-filled producer buffers),
-//     waits for its shard workers, and flushes every shard's cache to its
-//     counters — while producers are already ingesting into the next
-//     epoch.
+//     its handles (the residuals holding the producers' partial buffers
+//     included), waits for its shard workers, and flushes every shard's
+//     cache to its counters — while producers are already ingesting into
+//     the next epoch.
 //  4. The sealed epoch joins the query ring as a frozen ShardedEstimator;
 //     the oldest sealed epoch is retired once the ring holds `epochs`.
 //
@@ -48,11 +50,12 @@ import (
 //
 // # Concurrency contract
 //
-// Observe/ObserveBatch on distinct WindowIngester handles never contend.
-// Rotate, Close, and Ingester minting serialize with each other. Queries
-// (Estimate*, EstimateMany, QueryAll, and EpochView queries) are safe to
-// call from any goroutine at any time — including during rotation — and
-// serialize internally on one query mutex, because the per-shard
+// Ingest calls on distinct Ingester handles never contend; the window's own
+// ObserveBatch shares one handle, so its callers serialize on that handle's
+// mutex. Rotate, Close, and Ingester minting serialize with each other.
+// Queries (Estimate*, EstimateMany, QueryAll, and EpochView queries) are
+// safe to call from any goroutine at any time — including during rotation —
+// and serialize internally on one query mutex, because the per-shard
 // estimators reuse scratch buffers. Sealed epochs are immutable, so a
 // query never races ingest.
 type ShardedWindow struct {
@@ -60,17 +63,18 @@ type ShardedWindow struct {
 	nshards int
 	opts    ShardedOptions
 
-	// hasher derives flow IDs for the tuple ingest paths under
-	// opts.FlowHash. The fast hash is keyed from the *base* cfg.Seed, not the
-	// per-epoch strided seeds, so a flow keeps one ID for the life of the
-	// window — windowed estimates sum the same FlowID across sealed epochs,
-	// which only works if rotation never re-keys the tuple hash.
+	// hasher derives flow IDs for HashTuple and for the ObservePackets of
+	// the window's handles under opts.FlowHash. The fast hash is keyed from
+	// the *base* cfg.Seed, not the per-epoch strided seeds, so a flow keeps
+	// one ID for the life of the window — windowed estimates sum the same
+	// FlowID across sealed epochs, which only works if rotation never
+	// re-keys the tuple hash.
 	hasher tupleHasher
 
 	// mu serializes lifecycle transitions: Rotate, Close, and handle
 	// minting. The packet path never takes it.
 	mu      sync.Mutex
-	handles []*WindowIngester
+	handles []*Ingester
 	closed  bool
 
 	// ringMu guards the sealed-epoch ring and the retired-epoch
@@ -92,8 +96,8 @@ type ShardedWindow struct {
 	epochScratch []*windowEpoch
 	query        shardQuery
 
-	// legacy backs the Observe compatibility wrappers.
-	legacy *WindowIngester
+	// shared is the handle behind the window's own ObserveBatch.
+	shared *Ingester
 }
 
 // windowEpoch is one sealed epoch: the closed shard set (which owns the
@@ -131,7 +135,7 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 		return nil, err
 	}
 	w.lc = lc
-	w.legacy = w.Ingester()
+	w.shared = w.Ingester()
 	return w, nil
 }
 
@@ -169,37 +173,28 @@ func (w *ShardedWindow) Rotations() int {
 }
 
 // Ingester returns a new per-producer ingest handle bound to the window.
-// The handle survives rotations: Rotate re-points it at the next epoch's
-// shard set, so producers hold one handle for the life of the window.
-// Minting from a closed window panics, like Sharded.Ingester.
-func (w *ShardedWindow) Ingester() *WindowIngester {
+// The handle survives rotations: Rotate rebinds it to the next epoch's
+// shard set, so producers hold one handle for the life of the window, and
+// its ObservePackets hashes with the window's fixed FlowHash. After Close,
+// its calls are counted no-ops in the final epoch's DroppedAfterClose
+// ledger. Minting from a closed window panics, like Sharded.Ingester.
+func (w *ShardedWindow) Ingester() *Ingester {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		panic("caesar: Ingester after Close")
 	}
-	wi := &WindowIngester{w: w, h: w.lc.Current().Ingester()}
-	w.handles = append(w.handles, wi)
-	return wi
+	h := w.lc.Current().mint(&w.hasher)
+	w.handles = append(w.handles, h)
+	return h
 }
 
-// Observe routes one packet into the current epoch. Safe for concurrent
-// use via a shared internal handle; producers that need ingest to scale
-// should hold their own handle from Ingester.
-func (w *ShardedWindow) Observe(flow FlowID) { w.legacy.Observe(flow) }
-
 // ObserveBatch routes a batch of packets into the current epoch through
-// the shared internal handle.
-func (w *ShardedWindow) ObserveBatch(flows []FlowID) { w.legacy.ObserveBatch(flows) }
-
-// ObservePacket parses a 5-tuple and routes one packet of its flow,
-// deriving the flow ID with the window's configured FlowHash.
-func (w *ShardedWindow) ObservePacket(t FiveTuple) { w.legacy.ObservePacket(t) }
-
-// ObservePackets routes a block of raw 5-tuples into the current epoch
-// through the shared internal handle, fusing flow-ID derivation with the
-// batched ingest path (see WindowIngester.ObservePackets).
-func (w *ShardedWindow) ObservePackets(tuples []FiveTuple) { w.legacy.ObservePackets(tuples) }
+// the window's one shared handle. Safe for concurrent use — the HTTP
+// service's /observe handlers call it — but concurrent callers serialize on
+// that handle's mutex; producers that need ingest to scale should hold
+// their own handle from Ingester.
+func (w *ShardedWindow) ObserveBatch(flows []FlowID) { w.shared.ObserveBatch(flows) }
 
 // HashTuple derives the flow ID the window's ingest paths would assign to
 // the tuple: the keyed fast hash when opts.FlowHash == FlowHashFast, the
@@ -210,84 +205,9 @@ func (w *ShardedWindow) ObservePackets(tuples []FiveTuple) { w.legacy.ObservePac
 //caesar:hotpath per-packet flow-ID derivation on the windowed tuple ingest path
 func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID { return w.hasher.id(t) }
 
-// WindowIngester is a per-producer ingest handle that follows the window
-// across rotations. It wraps the current epoch's Ingester; Rotate swaps
-// the wrapped handle under the same mutex the packet path holds, so a
-// packet is never split between epochs and a swap never loses buffered
-// packets (the old epoch's seal barrier drains them).
-type WindowIngester struct {
-	w  *ShardedWindow // owning window: FlowHash option and window-stable hasher
-	mu sync.Mutex
-	h  *Ingester // current epoch's handle, guarded by mu
-	// idBuf is the ObservePackets block-hashing scratch, guarded by mu.
-	// Tuples are hashed with the *window's* hasher (not the epoch's) so a
-	// flow's ID never changes across rotations.
-	idBuf []FlowID
-}
-
-// Observe records one packet in the window's current epoch. After the
-// window closes, packets land in the final epoch's DroppedAfterClose
-// ledger — a counted no-op, exactly like Sharded's contract.
-//
-//caesar:hotpath the per-packet entry point of the live measurement service
-func (wi *WindowIngester) Observe(flow FlowID) {
-	wi.mu.Lock()
-	wi.h.Observe(flow)
-	wi.mu.Unlock()
-}
-
-// ObserveBatch records a batch of packets in the window's current epoch
-// under one handle lock acquisition.
-//
-//caesar:hotpath the batched entry point of the live measurement service
-func (wi *WindowIngester) ObserveBatch(flows []FlowID) {
-	wi.mu.Lock()
-	wi.h.ObserveBatch(flows)
-	wi.mu.Unlock()
-}
-
-// ObservePacket parses a 5-tuple and records one packet of its flow,
-// deriving the flow ID with the window's configured FlowHash.
-func (wi *WindowIngester) ObservePacket(t FiveTuple) { wi.Observe(wi.w.HashTuple(t)) }
-
-// ObservePackets is the fused tuple-level block ingest path of the windowed
-// service: one call hashes the whole block of raw 5-tuples (with the
-// window-stable FlowHash — FlowIDer.IDBlock when fast) and hands the IDs to
-// the current epoch's batched ingest, all under a single handle lock, so a
-// block is never split across an epoch rotation.
-//
-//caesar:hotpath the fused tuple-block entry point of the live measurement service
-func (wi *WindowIngester) ObservePackets(tuples []FiveTuple) {
-	if len(tuples) == 0 {
-		return
-	}
-	wi.mu.Lock()
-	wi.idBuf = wi.w.hasher.block(wi.idBuf[:0], tuples)
-	wi.h.ObserveBatch(wi.idBuf)
-	wi.mu.Unlock()
-}
-
-// Flush pushes the handle's partially-filled buffers to the current
-// epoch's shard workers, bounding how long a trickle of packets can stay
-// invisible to queries of the *next* sealed epoch.
-func (wi *WindowIngester) Flush() {
-	wi.mu.Lock()
-	wi.h.Flush()
-	wi.mu.Unlock()
-}
-
-// swap re-points the handle at the next epoch. Holding wi.mu orders the
-// swap after any in-flight Observe on the old epoch, so the old epoch's
-// close barrier sees every packet this handle accepted for it.
-func (wi *WindowIngester) swap(h *Ingester) {
-	wi.mu.Lock()
-	wi.h = h
-	wi.mu.Unlock()
-}
-
 // Rotate seals the current epoch and starts the next one. Producers keep
 // ingesting throughout: the next epoch's shard set is built first, every
-// handle is swapped onto it, and only then does the seal barrier drain and
+// handle is rebound to it, and only then does the seal barrier drain and
 // flush the old epoch. Queries gain the sealed epoch atomically once the
 // barrier completes. Uses no deadline — with the Block overflow policy a
 // wedged consumer can stall the seal; use RotateContext to bound it.
@@ -312,8 +232,8 @@ func (w *ShardedWindow) RotateContext(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	for _, wi := range w.handles {
-		wi.swap(next.Ingester())
+	for _, h := range w.handles {
+		h.rebind(next)
 	}
 	old := w.lc.Current()
 	closeErr := old.closeWith(ctx)

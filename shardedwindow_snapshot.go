@@ -182,7 +182,7 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		return nil, err
 	}
 	w.lc = lc
-	w.legacy = w.Ingester()
+	w.shared = w.Ingester()
 	return w, nil
 }
 

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func shardedWindowConfig() Config {
@@ -37,16 +40,12 @@ func TestShardedWindowSumsSealedEpochs(t *testing.T) {
 	// Three epochs with 300 packets of flow 7 each; a fourth epoch's worth
 	// stays unsealed.
 	for e := 0; e < 3; e++ {
-		for i := 0; i < 300; i++ {
-			w.Observe(7)
-		}
+		w.ObserveBatch(repeatFlow(7, 300))
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 300; i++ {
-		w.Observe(7)
-	}
+	w.ObserveBatch(repeatFlow(7, 300))
 	if w.EpochsSealed() != 3 || w.Rotations() != 3 {
 		t.Fatalf("sealed=%d rotations=%d", w.EpochsSealed(), w.Rotations())
 	}
@@ -74,16 +73,12 @@ func TestShardedWindowSlidesOldEpochsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 400; i++ {
-		w.Observe(1)
-	}
+	w.ObserveBatch(repeatFlow(1, 400))
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e < 2; e++ {
-		for i := 0; i < 250; i++ {
-			w.Observe(2)
-		}
+		w.ObserveBatch(repeatFlow(2, 250))
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
@@ -111,15 +106,13 @@ func TestShardedWindowMultiHandleLedger(t *testing.T) {
 	const perHandle = 5000
 	h1, h2 := w.Ingester(), w.Ingester()
 	for i := 0; i < perHandle; i++ {
-		h1.Observe(FlowID(i % 31))
-		h2.Observe(FlowID(i % 57))
+		h1.ObserveBatch([]FlowID{FlowID(i % 31)})
+		h2.ObserveBatch([]FlowID{FlowID(i % 57)})
 	}
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < perHandle; i++ {
-		h1.Observe(FlowID(i % 31))
-	}
+	h1.ObserveBatch(cyclicFlows(perHandle, 31))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +126,81 @@ func TestShardedWindowMultiHandleLedger(t *testing.T) {
 		t.Fatalf("Stats ledger: %d + %d != %d", st.Packets, st.DroppedPackets, observed)
 	}
 	// Post-close observes are counted no-ops in the final epoch's ledger.
-	h1.Observe(99)
+	h1.ObserveBatch([]FlowID{99})
 	h2.ObserveBatch([]FlowID{1, 2, 3})
 	if got := w.NumPackets() + w.DroppedPackets(); got != observed+4 {
 		t.Fatalf("post-close ledger: got %d, want %d", got, observed+4)
+	}
+}
+
+// TestShardedWindowSealBarrierIngest pins the seal-barrier contract: while
+// Rotate seals the old epoch, a producer's handle already feeds the next
+// one. The old epoch's worker blocks on the first batch it applies, which is
+// the partial buffer the seal drains from the handle, so Rotate is held
+// inside the seal; an ObserveBatch on the same handle must still return.
+// Afterwards each epoch holds exactly the packets observed into it.
+func TestShardedWindowSealBarrierIngest(t *testing.T) {
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	w, err := NewShardedWindowOptions(2, 2, shardedWindowConfig(), ShardedOptions{
+		BatchSize: 1024, // packets stay in the handle until a seal drains them
+		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
+			if armed.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	const first, second = 300, 200
+	h.ObserveBatch(cyclicFlows(first, 31))
+	armed.Store(true)
+	rotated := make(chan error, 1)
+	go func() { rotated <- w.Rotate() }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the seal never applied the packets the handle buffered for the old epoch")
+	}
+
+	observed := make(chan struct{})
+	go func() {
+		h.ObserveBatch(cyclicFlows(second, 31))
+		close(observed)
+	}()
+	select {
+	case <-observed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ObserveBatch into the next epoch waited for the old epoch's seal")
+	}
+	select {
+	case err := <-rotated:
+		t.Fatalf("Rotate returned (%v) while its seal was still blocked", err)
+	default:
+	}
+	once.Do(func() { close(release) })
+	if err := <-rotated; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	views := w.Epochs()
+	if len(views) != 2 {
+		t.Fatalf("Epochs() = %d views, want 2", len(views))
+	}
+	for i, want := range []uint64{first, second} {
+		if got, dropped := views[i].NumPackets(), views[i].DroppedPackets(); got != want || dropped != 0 {
+			t.Fatalf("epoch %d: %d packets applied and %d dropped, want %d and 0", i, got, dropped, want)
+		}
+	}
+	if got := w.NumPackets() + w.DroppedPackets(); got != first+second {
+		t.Fatalf("window ledger = %d, want %d", got, first+second)
 	}
 }
 
@@ -173,9 +237,7 @@ func TestShardedWindowBulkMatchesScalar(t *testing.T) {
 	}
 	for e := 0; e < 3; e++ {
 		for rep := 0; rep < 20; rep++ {
-			for _, f := range flows {
-				w.Observe(f)
-			}
+			w.ObserveBatch(flows)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
@@ -240,9 +302,7 @@ func TestShardedWindowSnapshotBitIdentical(t *testing.T) {
 	feed := func(sw *ShardedWindow) {
 		h := sw.Ingester()
 		for rep := 0; rep < 25; rep++ {
-			for _, f := range flows {
-				h.Observe(f)
-			}
+			h.ObserveBatch(flows)
 		}
 	}
 	// Rotate past the window size so a retired epoch is in play.
@@ -312,15 +372,11 @@ func TestShardedWindowSnapshotWhileIngesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		w.Observe(FlowID(i % 19))
-	}
+	w.ObserveBatch(cyclicFlows(500, 19))
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 123; i++ { // mid-epoch traffic a snapshot must not capture
-		w.Observe(FlowID(i % 19))
-	}
+	w.ObserveBatch(cyclicFlows(123, 19)) // mid-epoch traffic a snapshot must not capture
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -350,10 +406,12 @@ func queryTestWindow(t *testing.T, nshards int) *ShardedWindow {
 		t.Fatal(err)
 	}
 	h := w.Ingester()
+	pkts := make([]FlowID, 20000)
 	for e := 0; e < 3; e++ {
-		for i := 0; i < 20000; i++ {
-			h.Observe(FlowID((i * (e + 3) * 2654435761) % 4099))
+		for i := range pkts {
+			pkts[i] = FlowID((i * (e + 3) * 2654435761) % 4099)
 		}
+		h.ObserveBatch(pkts)
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}

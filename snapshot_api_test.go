@@ -103,9 +103,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40000; i++ {
-		s.Observe(FlowID(i % 900))
-	}
+	s.Ingester().ObserveBatch(cyclicFlows(40000, 900))
 	if _, err := s.Snapshot(&bytes.Buffer{}); err == nil {
 		t.Fatal("Snapshot before Close accepted")
 	}
@@ -139,10 +137,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Observe on a loaded sharded snapshot should panic")
+			t.Fatal("Ingester on a loaded sharded snapshot should panic")
 		}
 	}()
-	r.Observe(1)
+	r.Ingester()
 }
 
 func TestWindowSnapshotRoundTrip(t *testing.T) {
@@ -249,9 +247,10 @@ func TestShardedCloseConcurrent(t *testing.T) {
 		obs.Add(1)
 		go func(w int) {
 			defer obs.Done()
-			defer func() { _ = recover() }() // Observe may legally panic once closed
+			defer func() { _ = recover() }() // Ingester legally panics once closed
+			h := s.Ingester()
 			for i := 0; i < 50000; i++ {
-				s.Observe(FlowID(uint64(w)<<20 | uint64(i%1000)))
+				h.ObserveBatch([]FlowID{FlowID(uint64(w)<<20 | uint64(i%1000))})
 			}
 		}(w)
 	}
